@@ -148,9 +148,15 @@ def cmd_reconstruct(args) -> int:
     except (OSError, ValueError, QVerifyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    mode = args.mode if not args.exact else "strict-exact"
+    if mode == "hardware" and circuit.n != 2:
+        print(
+            f"configuration error: hardware mode needs a 2-qubit circuit, got n={circuit.n}",
+            file=sys.stderr,
+        )
+        return EXIT_CONFIG
     seed = _default_seed(args.seed)
     device = Device(DeviceProfile(circuit.n, circuit.depth, t, circuit), noise)
-    mode = args.mode if not args.exact else "strict-exact"
     if mode == "strict":
         bound = required_samples(
             4, max(circuit.n, 2), max(circuit.depth, 1), args.eps, args.delta

@@ -1,10 +1,14 @@
 """Black-box simulation of a layered interruptible quantum device.
 
 A :class:`Device` hides its circuit behind a query interface: callers submit
-shot requests (state preparation gates, an inverse-prefix circuit, the layer
+shot settings (state preparation gates, an inverse-prefix circuit, the layer
 index to interrupt at, and a measurement basis) and receive outcomes plus time
 accounting. Executed time grows by one unit ``t`` per layer actually run, so a
 request with a j-layer prefix interrupted at layer k costs (j + k) * t.
+
+All shots run through one batched path, :meth:`Device.execute_settings`, which
+builds the circuit unitary once per call and prepares, evolves, rotates and
+samples every setting's shots together (inverse CDF on one uniform draw).
 
 Depolarizing noise is simulated with stochastic pure-state trajectories: after
 each gate of the hidden circuit, every touched qubit independently suffers a
@@ -16,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
 
 import numpy as np
 
@@ -28,10 +34,11 @@ from .circuits import (
     layer_unitary,
 )
 from .core import (
+    AXES,
+    AXIS_ROTATIONS,
     Outcome,
     PauliBasis,
     StateVec,
-    AXIS_ROTATIONS,
     apply_unitary_array,
     exact_pauli_distribution,
     index_to_outcome,
@@ -43,13 +50,28 @@ from .errors import InvalidRequest
 from .gates import BUILTIN_MATRICES
 from .rng import ensure_rng
 
-_PREP_MATRICES = {
-    "X": BUILTIN_MATRICES["X"],
-    "H": BUILTIN_MATRICES["H"],
-    "S": BUILTIN_MATRICES["S"],
-}
-_PREP_ORDER = ("X", "H", "S")
+_PREP_GATES = ("X", "H", "S")
 _NOISE_PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+
+# Every single-qubit preparation the device accepts (each of X, H, S at most
+# once, in that order) and the state it makes from |0>, row by row.
+PREP_SEQUENCES = tuple(names for r in range(4) for names in combinations(_PREP_GATES, r))
+PREP_VECTORS = np.array(
+    [reduce(lambda v, g: BUILTIN_MATRICES[g] @ v, names, np.eye(2, dtype=complex)[0])
+     for names in PREP_SEQUENCES]
+)
+PREP_VECTORS.flags.writeable = False
+_PREP_CODE = {names: code for code, names in enumerate(PREP_SEQUENCES)}
+_READOUT = np.array([AXIS_ROTATIONS[axis] for axis in AXES])
+
+
+def _check_prep(prep: tuple[tuple[str, ...], ...]) -> None:
+    for names in prep:
+        if names not in _PREP_CODE:
+            for g in names:
+                if g not in _PREP_GATES:
+                    raise InvalidRequest(f"prep gate {g!r} not in {{X, H, S}}")
+            raise InvalidRequest(f"prep gates {names} not in X, H, S order")
 
 
 @dataclass(frozen=True)
@@ -89,16 +111,8 @@ class ShotRequest:
 
     def __post_init__(self):
         prep = tuple(tuple(names) for names in self.prep_gates)
-        for names in prep:
-            for g in names:
-                if g not in _PREP_MATRICES:
-                    raise InvalidRequest(f"prep gate {g!r} not in {{X, H, S}}")
-            if tuple(sorted(names, key=_PREP_ORDER.index)) != names:
-                raise InvalidRequest(f"prep gates {names} not in X, H, S order")
+        _check_prep(prep)
         object.__setattr__(self, "prep_gates", prep)
-
-    def group_key(self):
-        return (self.prep_gates, str(self.basis))
 
 
 @dataclass(frozen=True)
@@ -123,9 +137,6 @@ class TimeLedger:
     @property
     def total_time(self) -> Fraction:
         return self.layer_count * self.t
-
-    def add_shot(self, layers: int) -> None:
-        self.add_shots(layers, 1)
 
     def add_shots(self, layers: int, count: int) -> None:
         self.layer_count += layers * count
@@ -181,36 +192,56 @@ class Device:
         self.t = Fraction(profile.t)
         self.ledger = TimeLedger(t=self.t)
 
-    # -- request validation and bookkeeping -----------------------------------
+    # -- request validation -----------------------------------------------------
 
-    def _check(self, req: ShotRequest) -> None:
-        if len(req.prep_gates) != self.n:
-            raise InvalidRequest(f"prep covers {len(req.prep_gates)} of {self.n} qubits")
-        if req.inverse_prefix.n != self.n:
+    def _check_circuit(self, inverse_prefix: LayeredCircuit, k: int, undo: Layer | None) -> None:
+        if inverse_prefix.n != self.n:
             raise InvalidRequest("inverse prefix acts on the wrong qubit count")
-        if not (0 <= req.interrupt_at <= self.d):
-            raise InvalidRequest(f"interrupt_at={req.interrupt_at} outside [0, {self.d}]")
-        if len(req.basis) != self.n:
-            raise InvalidRequest("basis does not cover every qubit")
-        if req.undo is not None:
-            req.undo.validate_for(self.n)
+        if not (0 <= k <= self.d):
+            raise InvalidRequest(f"interrupt_at={k} outside [0, {self.d}]")
+        if undo is not None and undo.qubits() != set(range(self.n)):
+            raise InvalidRequest(f"undo layer covers {sorted(undo.qubits())}, not 0..{self.n - 1}")
 
-    def _layers_executed(self, req: ShotRequest) -> int:
-        return req.inverse_prefix.depth + req.interrupt_at + (1 if req.undo else 0)
+    def _setting_codes(self, settings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Validated (settings, n) prep and readout-axis codes, and shot counts."""
+        n = self.n
+        preps, bases, counts = zip(*settings) if settings else ((), (), ())
+        # a prep or basis shared by several settings is looked up once
+        prep_rows = {names: [_PREP_CODE.get(q) for q in names] for names in set(preps)}
+        axes_rows = {b.axes: [AXES.index(a) for a in b.axes] for b in bases}
+        for names, row in prep_rows.items():
+            if len(row) != n:
+                raise InvalidRequest(f"prep covers {len(row)} of {n} qubits")
+            if None in row:
+                _check_prep(names)
+        if any(len(row) != n for row in axes_rows.values()):
+            raise InvalidRequest("basis does not cover every qubit")
+        counts = np.array(counts, dtype=np.int64)
+        if (counts < 0).any():
+            raise InvalidRequest(f"negative shot count {counts.min()}")
+        prep = np.array([prep_rows[names] for names in preps], dtype=np.intp)
+        axes = np.array([axes_rows[b.axes] for b in bases], dtype=np.intp)
+        return prep.reshape(-1, n), axes.reshape(-1, n), counts
+
+    def _unitary(self, inverse_prefix: LayeredCircuit, k: int, undo: Layer | None = None):
+        """The noiseless circuit ``[undo] . hidden[:k] . inverse_prefix``."""
+        u = compose_unitary(self._hidden, k) @ compose_unitary(inverse_prefix)
+        return u if undo is None else layer_unitary(undo, self.n) @ u
 
     # -- execution -------------------------------------------------------------
 
     def execute_shot(self, req: ShotRequest, rng) -> tuple[Outcome, Fraction]:
         """Run one shot; returns the outcome and the ledger increment."""
+        before = self.ledger.layer_count
         outcome = self.execute_batch([req], rng)[0]
-        return outcome, self._layers_executed(req) * self.t
+        return outcome, (self.ledger.layer_count - before) * self.t
 
     def execute_batch(self, reqs: list[ShotRequest], rng) -> list[Outcome]:
-        """Run many shots of one experiment; grouped for speed.
+        """Run many shots of one experiment as one :meth:`execute_settings` call.
 
         All requests must share the same inverse prefix, interruption layer
-        and undo layer (they may differ in prep and basis). Outcomes are drawn
-        group-by-group in sorted key order from the single supplied stream,
+        and undo layer (they may differ in prep and basis). Requests with equal
+        prep and basis form one setting, and settings run in sorted key order,
         which makes batches bit-reproducible for a given seed.
         """
         if not reqs:
@@ -225,20 +256,16 @@ class Device:
 
         groups: dict[tuple, list[int]] = {}
         for idx, req in enumerate(reqs):
-            groups.setdefault(req.group_key(), []).append(idx)
-
-        ordered = sorted(groups)
-        settings = [
-            (reqs[groups[key][0]].prep_gates, reqs[groups[key][0]].basis, len(groups[key]))
-            for key in ordered
-        ]
+            groups.setdefault((req.prep_gates, str(req.basis)), []).append(idx)
+        members = [groups[key] for key in sorted(groups)]
+        settings = [(reqs[m[0]].prep_gates, reqs[m[0]].basis, len(m)) for m in members]
         index_arrays = self.execute_settings(
             first.inverse_prefix, first.interrupt_at, settings, rng, undo=first.undo
         )
         outcomes: list[Outcome | None] = [None] * len(reqs)
-        for key, draws in zip(ordered, index_arrays):
-            for member, idx in zip(groups[key], draws):
-                outcomes[member] = index_to_outcome(int(idx), self.n)
+        for group, draws in zip(members, index_arrays):
+            for member, idx in zip(group, draws.tolist()):
+                outcomes[member] = index_to_outcome(idx, self.n)
         return outcomes  # type: ignore[return-value]
 
     def execute_settings(
@@ -249,116 +276,107 @@ class Device:
         rng,
         undo: Layer | None = None,
     ) -> list[np.ndarray]:
-        """Array-level batch entry point: one (prep, basis, shots) per setting.
+        """Run (prep, basis, shots) settings sharing prefix, ``k`` and undo, in one batch.
 
-        Returns an int array of outcome indices (bit b of index i is qubit b's
-        result, 0 meaning +1) for each setting, drawn in the order given.
+        Every setting is validated before any unitary, draw or ledger entry.
+        Returns per setting, in order, an int array of outcome indices (qubit 0
+        is the most significant bit; a 0 bit means +1). Draw order: one integer
+        from ``rng`` seeds the trajectory-noise stream, then ``rng.random(total)``
+        is read setting by setting (the stream of one ``rng.random(count)`` per
+        setting). Noise never draws from ``rng``, so a seed's measurement draws
+        are the same at every noise strength.
         """
+        self._check_circuit(inverse_prefix, k, undo)
+        prep, axes, counts = self._setting_codes(settings)
         rng = ensure_rng(rng)
-        # Trajectory noise draws from its own child stream so the measurement
-        # draws are identical across noise strengths for a given seed.
         noise_rng = np.random.default_rng(int(rng.integers(2**63)))
-        prefix_u = compose_unitary(inverse_prefix)
-        p = self._noise.depolarizing_p
-        out: list[np.ndarray] = []
-        total = 0
-        for prep_gates, basis, count in settings:
-            req = ShotRequest(prep_gates, inverse_prefix, k, basis, undo=undo)
-            self._check(req)
-            out.append(self._run_group(req, prefix_u, k, count, p, rng, noise_rng))
-            total += count
-        layers = inverse_prefix.depth + k + (1 if undo else 0)
-        self.ledger.add_shots(layers, total)
-        return out
-
-    def _prep_state(self, prep_gates) -> np.ndarray:
-        state = np.ones(1, dtype=complex)
-        for names in prep_gates:
-            q = np.array([1, 0], dtype=complex)
-            for name in names:
-                q = _PREP_MATRICES[name] @ q
-            state = np.kron(state, q)
-        return state
-
-    def _run_group(
-        self,
-        req: ShotRequest,
-        prefix_u: np.ndarray,
-        k: int,
-        batch: int,
-        p: float,
-        rng,
-        noise_rng,
-    ) -> np.ndarray:
-        # Measurement randomness is drawn before any trajectory noise, and the
-        # noise path consumes a p-independent number of variates. Runs that
-        # share a seed therefore share their measurement draws across noise
-        # strengths, and the sets of corrupted shots are nested in p.
-        n = self.n
-        u01 = rng.random(batch)
-        psi = self._prep_state(req.prep_gates)
-        if p == 0.0:
-            psi = compose_unitary(self._hidden, k) @ (prefix_u @ psi)
-            if req.undo is not None:
-                psi = layer_unitary(req.undo, n) @ psi
-            cols = psi[:, None]
+        u01 = rng.random(int(counts.sum()))
+        starts = (np.cumsum(counts) - counts).tolist()
+        psi = _product_states(prep)
+        if self._noise.depolarizing_p == 0.0:
+            states = self._unitary(inverse_prefix, k, undo) @ psi
+            columns = np.repeat(np.arange(len(counts)), counts)
         else:
-            if self._noise.noisy_prefix:
-                cols = np.repeat(psi[:, None], batch, axis=1)
-                for layer in req.inverse_prefix.layers:
-                    cols = self._apply_layer_noisy(cols, layer, p, noise_rng)
-            else:
-                cols = np.repeat((prefix_u @ psi)[:, None], batch, axis=1)
-            for layer in self._hidden.layers[:k]:
-                cols = self._apply_layer_noisy(cols, layer, p, noise_rng)
-            if req.undo is not None:
-                cols = layer_unitary(req.undo, n) @ cols
-        for q, axis in enumerate(req.basis.axes):
-            if axis != "Z":
-                cols = apply_unitary_array(cols, AXIS_ROTATIONS[axis], (q,), n)
-        probs = np.abs(cols) ** 2
-        probs /= probs.sum(axis=0, keepdims=True)
-        if cols.shape[1] == 1:
-            draws = np.searchsorted(np.cumsum(probs[:, 0]), u01, side="right")
-        else:
-            draws = (np.cumsum(probs, axis=0) < u01[None, :]).sum(axis=0)
-        return np.minimum(draws, probs.shape[0] - 1).astype(np.int64)
+            if not self._noise.noisy_prefix:
+                psi = compose_unitary(inverse_prefix) @ psi
+            undo_u = None if undo is None else layer_unitary(undo, self.n)
+            states = np.repeat(psi, counts, axis=1)
+            for a, c in zip(starts, counts.tolist()):
+                states[:, a : a + c] = self._trajectories(
+                    states[:, a : a + c], inverse_prefix, k, undo_u, noise_rng
+                )
+            axes = np.repeat(axes, counts, axis=0)
+            columns = np.arange(len(u01))
+        draws = _sample(_rotate_to_z(states, axes), columns, u01)
+        self.ledger.add_shots(inverse_prefix.depth + k + (undo is not None), len(u01))
+        return [draws[a : a + c] for a, c in zip(starts, counts.tolist())]
 
-    def _apply_layer_noisy(self, cols: np.ndarray, layer: Layer, p: float, rng) -> np.ndarray:
-        n = self.n
-        for block, gate in zip(layer.blocks, layer.gates):
-            cols = apply_unitary_array(cols, gate.matrix, block, n)
-            for q in block:
-                hit = rng.random(cols.shape[1]) < p
-                which = rng.integers(0, 3, size=cols.shape[1])
-                for pauli_idx in range(3):
-                    mask = hit & (which == pauli_idx)
-                    if mask.any():
-                        cols[:, mask] = apply_unitary_array(
-                            cols[:, mask], _NOISE_PAULIS[pauli_idx], (q,), n
-                        )
-        return cols
+    def _trajectories(self, cols, inverse_prefix, k, undo_u, rng) -> np.ndarray:
+        """Noisy runs of prepared column states, one column per shot."""
+        n, p = self.n, self._noise.depolarizing_p
+        noisy = inverse_prefix.layers if self._noise.noisy_prefix else ()
+        for layer in noisy + self._hidden.layers[:k]:
+            for block, gate in zip(layer.blocks, layer.gates):
+                cols = apply_unitary_array(cols, gate.matrix, block, n)
+                for q in block:
+                    hit = rng.random(cols.shape[1]) < p
+                    which = rng.integers(0, 3, size=cols.shape[1])
+                    for pauli_idx in range(3):
+                        mask = hit & (which == pauli_idx)
+                        if mask.any():
+                            cols[:, mask] = apply_unitary_array(
+                                cols[:, mask], _NOISE_PAULIS[pauli_idx], (q,), n
+                            )
+        return cols if undo_u is None else undo_u @ cols
 
     # -- infinite-shot oracles ---------------------------------------------------
 
     def ideal_choi_state(self, inverse_prefix: LayeredCircuit, k: int) -> StateVec:
         """Choi state of prefix-then-first-k-layers, noiselessly (2n qubits)."""
-        if not (0 <= k <= self.d):
-            raise InvalidRequest(f"interrupt_at={k} outside [0, {self.d}]")
-        if inverse_prefix.n != self.n:
-            raise InvalidRequest("inverse prefix acts on the wrong qubit count")
-        u = compose_unitary(self._hidden, k) @ compose_unitary(inverse_prefix)
-        return choi_state(u, self.n)
+        self._check_circuit(inverse_prefix, k, None)
+        return choi_state(self._unitary(inverse_prefix, k), self.n)
 
     def exact_outcome_distribution(self, req: ShotRequest) -> dict:
         """Noiseless outcome distribution for one request."""
-        self._check(req)
-        psi = self._prep_state(req.prep_gates)
-        psi = compose_unitary(req.inverse_prefix) @ psi
-        psi = compose_unitary(self._hidden, req.interrupt_at) @ psi
-        if req.undo is not None:
-            psi = layer_unitary(req.undo, self.n) @ psi
+        self._check_circuit(req.inverse_prefix, req.interrupt_at, req.undo)
+        prep, _, _ = self._setting_codes([(req.prep_gates, req.basis, 1)])
+        u = self._unitary(req.inverse_prefix, req.interrupt_at, req.undo)
+        psi = u @ _product_states(prep)[:, 0]
         return exact_pauli_distribution(StateVec(self.n, psi), req.basis)
+
+
+def _product_states(prep: np.ndarray) -> np.ndarray:
+    """One product-state column per row of prep codes, qubits in ``np.kron`` order."""
+    settings, n = prep.shape
+    vecs = PREP_VECTORS.T[:, prep.T]
+    psi = np.ones((1, settings), dtype=complex)
+    for q in range(n):
+        psi = (psi[:, None, :] * vecs[None, :, q, :]).reshape(2 << q, settings)
+    return psi
+
+
+def _rotate_to_z(states: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """Rotate column j of ``states`` so that qubit q's axis ``axes[j, q]`` becomes Z."""
+    dim, m = states.shape
+    for q in range(axes.shape[1]):
+        rot = _READOUT[axes[:, q]].transpose(1, 2, 0)
+        v = states.reshape(1 << q, 2, dim >> (q + 1), m)
+        out = np.empty_like(v)
+        for a in (0, 1):
+            np.multiply(rot[a, 0], v[:, 0], out=out[:, a])
+            out[:, a] += rot[a, 1] * v[:, 1]
+        states = out.reshape(dim, m)
+    return states
+
+
+def _sample(states: np.ndarray, columns: np.ndarray, u01: np.ndarray) -> np.ndarray:
+    """Inverse-CDF outcome index of each shot; shot i reads column ``columns[i]``."""
+    probs = np.abs(states) ** 2
+    cdf = np.cumsum(probs / probs.sum(axis=0), axis=0)
+    draws = np.zeros(len(u01), dtype=np.int64)
+    for edge in cdf[:-1]:  # a draw past every other edge is the last outcome
+        draws += edge[columns] <= u01
+    return draws
 
 
 def blank_request(n: int, basis: PauliBasis, k: int = 0) -> ShotRequest:

@@ -39,7 +39,7 @@ from .core import (
     relative_fidelity_array,
     trace_distance_array,
 )
-from .device import Device, TimeLedger
+from .device import PREP_SEQUENCES, PREP_VECTORS, Device, TimeLedger
 from .errors import (
     AmbiguousMatch,
     EmptyGateSet,
@@ -88,19 +88,21 @@ def prep_gate_names(axis: str, outcome: int) -> tuple[str, ...]:
     return tuple(names)
 
 
-_PREP_MATS = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-    "S": np.diag([1, 1j]).astype(complex),
-}
+# One qubit's preparation gates, indexed by 2 * ancilla axis code + outcome bit
+# (bit 0 is the +1 outcome).
+_ANCILLA_PREP = tuple(
+    prep_gate_names(axis, 1 - 2 * bit) for axis in AXES_STR for bit in (0, 1)
+)
+
+
+@lru_cache(maxsize=4096)
+def _pauli_basis(codes: tuple[int, ...]) -> PauliBasis:
+    return PauliBasis(tuple(AXES_STR[c] for c in codes))
 
 
 def prep_state(axis: str, outcome: int) -> np.ndarray:
     """Single-qubit state produced by :func:`prep_gate_names` on |0>."""
-    v = np.array([1, 0], dtype=complex)
-    for name in prep_gate_names(axis, outcome):
-        v = _PREP_MATS[name] @ v
-    return v
+    return PREP_VECTORS[PREP_SEQUENCES.index(prep_gate_names(axis, outcome))].copy()
 
 
 def prep_init(n: int, rng) -> PrepResult:
@@ -251,11 +253,33 @@ class ReconstructionReport:
 # -- strict single-layer learning ----------------------------------------------------
 
 
-def _outcome_signs_from_indices(indices: np.ndarray, n: int) -> np.ndarray:
-    """(shots, n) +1/-1 matrix from packed outcome indices (bit 0 -> +1)."""
-    shifts = np.arange(n - 1, -1, -1)
-    bits = (indices[:, None] >> shifts[None, :]) & 1
-    return (1 - 2 * bits).astype(np.int8)
+def _index_bits(indices: np.ndarray, n: int) -> np.ndarray:
+    """(len(indices), n) 0/1 matrix of packed indices, qubit 0 most significant."""
+    bits = np.empty((len(indices), n), dtype=np.int8)
+    for q in range(n):
+        bits[:, q] = (indices >> (n - 1 - q)) & 1
+    return bits
+
+
+def _run_settings(device: Device, k: int, prefix: LayeredCircuit, rows, counts, rng, undo=None):
+    """Run ``counts[i]`` shots of the setting in row i of ``rows``.
+
+    A row holds the ancilla axes, ancilla outcome bits and principal axes, n
+    codes each. Returns the (shots, 2n) bases and +1/-1 outcomes, grouped by
+    setting in row order.
+    """
+    n = device.n
+    anc_axes, anc_outs01, pri_axes = rows[:, :n], rows[:, n : 2 * n], rows[:, 2 * n :]
+    settings = [
+        (tuple(_ANCILLA_PREP[c] for c in anc), _pauli_basis(tuple(pri)), count)
+        for anc, pri, count in zip(
+            (2 * anc_axes + anc_outs01).tolist(), pri_axes.tolist(), counts.tolist()
+        )
+    ]
+    index_arrays = device.execute_settings(prefix, k, settings, rng, undo=undo)
+    pri_bits = _index_bits(np.concatenate(index_arrays), n)
+    bits = np.hstack([pri_bits, np.repeat(anc_outs01, counts, axis=0)])
+    return np.repeat(np.hstack([pri_axes, anc_axes]), counts, axis=0), 1 - 2 * bits
 
 
 def _shot_record_set(
@@ -270,48 +294,16 @@ def _shot_record_set(
     """
     n = device.n
     rng = ensure_rng(rng)
-    anc_axes = rng.integers(0, 3, size=(shots, n))
-    anc_outs01 = rng.integers(0, 2, size=(shots, n))
-    pri_axes = rng.integers(0, 3, size=(shots, n))
+    # ancilla axes, ancilla outcome bits, principal axes, drawn in that order
+    rows = np.hstack(
+        [rng.integers(0, radix, size=(shots, n)).astype(np.int8) for radix in (3, 2, 3)]
+    )
     # mixed-radix packing so deduplication runs on a flat integer array
     code = np.zeros(shots, dtype=np.int64)
-    for q in range(n):
-        code = code * 3 + anc_axes[:, q]
-    for q in range(n):
-        code = code * 2 + anc_outs01[:, q]
-    for q in range(n):
-        code = code * 3 + pri_axes[:, q]
-    unique_codes, counts = np.unique(code, return_counts=True)
-    settings = []
-    rows = np.empty((unique_codes.shape[0], 3 * n), dtype=np.int8)
-    for idx, packed in enumerate(unique_codes):
-        rest = int(packed)
-        p_ax = [0] * n
-        a_out01 = [0] * n
-        a_ax = [0] * n
-        for q in range(n - 1, -1, -1):
-            rest, p_ax[q] = divmod(rest, 3)
-        for q in range(n - 1, -1, -1):
-            rest, a_out01[q] = divmod(rest, 2)
-        for q in range(n - 1, -1, -1):
-            rest, a_ax[q] = divmod(rest, 3)
-        rows[idx, :n] = a_ax
-        rows[idx, n : 2 * n] = a_out01
-        rows[idx, 2 * n :] = p_ax
-        prep = tuple(
-            prep_gate_names(AXES_STR[a_ax[q]], int(1 - 2 * a_out01[q]))
-            for q in range(n)
-        )
-        basis = PauliBasis(tuple(AXES_STR[c] for c in p_ax))
-        settings.append((prep, basis, int(counts[idx])))
-    index_arrays = device.execute_settings(prefix, k, settings, rng)
-    bases = np.repeat(np.hstack([rows[:, 2 * n :], rows[:, :n]]), counts, axis=0)
-    anc_signs = np.repeat(1 - 2 * rows[:, n : 2 * n].astype(np.int8), counts, axis=0)
-    pri_signs = np.vstack(
-        [_outcome_signs_from_indices(arr, n) for arr in index_arrays]
-    )
-    outs = np.hstack([pri_signs, anc_signs]).astype(np.int8)
-    return RecordSet(n, bases.astype(np.int8), outs)
+    for column, radix in zip(rows.T, np.repeat([3, 2, 3], n)):
+        code = code * radix + column
+    _, first, counts = np.unique(code, return_index=True, return_counts=True)
+    return RecordSet(n, *_run_settings(device, k, prefix, rows[first], counts, rng))
 
 
 def _exact_window_estimates(device: Device, k: int, prefix: LayeredCircuit) -> list[RdmEstimate]:
@@ -521,29 +513,16 @@ def _dedicated_record_set(
     """One tomography round with the nine dedicated (principal, ancilla) settings."""
     n = device.n
     rng = ensure_rng(rng)
-    all_bases = []
-    all_outs = []
-    for p_ax, a_ax in product(AXES_STR, AXES_STR):
+    rounds = []
+    for p_ax, a_ax in product(range(3), range(3)):
         anc_outs01 = rng.integers(0, 2, size=(shots_per_setting, n))
-        unique, counts = np.unique(anc_outs01, axis=0, return_counts=True)
-        basis = PauliBasis((p_ax,) * n)
-        settings = [
-            (
-                tuple(prep_gate_names(a_ax, int(1 - 2 * row[q])) for q in range(n)),
-                basis,
-                int(count),
-            )
-            for row, count in zip(unique, counts)
-        ]
-        index_arrays = device.execute_settings(prefix, k, settings, rng, undo=undo)
-        pri = np.vstack([_outcome_signs_from_indices(arr, n) for arr in index_arrays])
-        anc_signs = np.repeat(1 - 2 * unique, counts, axis=0)
-        bases = np.empty((shots_per_setting, 2 * n), dtype=np.int8)
-        bases[:, :n] = AXES_STR.index(p_ax)
-        bases[:, n:] = AXES_STR.index(a_ax)
-        all_bases.append(bases)
-        all_outs.append(np.hstack([pri, anc_signs]).astype(np.int8))
-    return RecordSet(n, np.vstack(all_bases), np.vstack(all_outs))
+        # qubit 0 as the most significant bit keeps np.unique's row order
+        counts = np.bincount(anc_outs01 @ (1 << np.arange(n - 1, -1, -1)), minlength=1 << n)
+        present = np.flatnonzero(counts)
+        axes = np.ones((len(present), n), dtype=np.int8)
+        rows = np.hstack([a_ax * axes, _index_bits(present, n), p_ax * axes])
+        rounds.append(_run_settings(device, k, prefix, rows, counts[present], rng, undo))
+    return RecordSet(n, np.vstack([b for b, _ in rounds]), np.vstack([o for _, o in rounds]))
 
 
 def _learn_layer_hardware(

@@ -4,8 +4,9 @@ from importlib import resources
 import pytest
 
 from qverify.benchmarks import demo_circuit, qft2_circuit
-from qverify.circuits import emit_circuit, parse_circuit, same_circuit
+from qverify.circuits import emit_circuit, parse_circuit, random_circuit, same_circuit
 from qverify.cli import main
+from qverify.gates import standard_gate_set
 
 
 def run(args):
@@ -120,6 +121,17 @@ class TestReconstructCommand:
         ])
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_hardware_mode_off_two_qubits_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "n3.json"
+        path.write_text(emit_circuit(random_circuit(3, 1, standard_gate_set(), 4)), encoding="utf-8")
+        out = tmp_path / "out"
+        rc = run([
+            "reconstruct", "--circuit", str(path), "--mode", "hardware", "--out", str(out),
+        ])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unlearnable_circuit_is_reconstruction_error(self, tmp_path, capsys):
         # hidden S gate is outside the standard matching set

@@ -87,6 +87,55 @@ class TestExecuteShot:
         assert a == b
 
 
+class TestExecuteSettingsValidation:
+    """An invalid call raises InvalidRequest before any unitary, draw or ledger entry."""
+
+    ZZ = PauliBasis(("Z", "Z"))
+    VALID = (((), ()), ZZ, 4)
+    CASES = {
+        "k above depth": dict(k=99),
+        "negative k": dict(k=-1),
+        "prefix on the wrong n": dict(prefix=identity_circuit(3)),
+        "prep too short": dict(settings=[VALID, (((),), ZZ, 4)]),
+        "basis too short": dict(settings=[VALID, (((), ()), PauliBasis(("Z",)), 4)]),
+        "prep gate outside X, H, S": dict(settings=[VALID, ((("Q",), ()), ZZ, 4)]),
+        "prep gates out of order": dict(settings=[VALID, ((("H", "X"), ()), ZZ, 4)]),
+        "prep gate repeated": dict(settings=[VALID, ((("X", "X"), ()), ZZ, 4)]),
+        "negative shot count": dict(settings=[VALID, (((), ()), ZZ, -1)]),
+        "undo off the line": dict(undo=Layer(((0, 5),), (builtin_gate("CNOT"),))),
+        "undo leaves a qubit out": dict(undo=Layer(((0,),), (builtin_gate("H"),))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected_before_any_work(self, case, monkeypatch):
+        dev, _ = demo_device(1)
+
+        def no_unitary(*args, **kwargs):
+            raise AssertionError("unitary built before validation finished")
+
+        monkeypatch.setattr("qverify.device.compose_unitary", no_unitary)
+        monkeypatch.setattr("qverify.device.layer_unitary", no_unitary)
+        call = dict(prefix=identity_circuit(2), k=1, settings=[self.VALID], undo=None)
+        call.update(self.CASES[case])
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidRequest):
+            dev.execute_settings(
+                call["prefix"], call["k"], call["settings"], rng, undo=call["undo"]
+            )
+        assert rng.bit_generator.state == state
+        assert dev.ledger.layer_count == 0
+        assert dev.ledger.per_shot_layers == {}
+
+    def test_valid_call_returns_one_array_per_setting(self):
+        dev, _ = demo_device(1)
+        settings = [self.VALID, ((("X",), ("H", "S")), PauliBasis(("X", "Y")), 0), self.VALID]
+        out = dev.execute_settings(identity_circuit(2), 1, settings, np.random.default_rng(3))
+        assert [len(a) for a in out] == [4, 0, 4]
+        assert dev.ledger.layer_count == 8
+        assert dev.execute_settings(identity_circuit(2), 1, [], 0) == []
+
+
 class TestBlackBox:
     def test_public_surface_hides_the_circuit(self):
         dev, _ = demo_device(1)
