@@ -9,7 +9,6 @@ sampling / noise sweeps.
 
 from .core import (
     DensityMatrix,
-    Outcome,
     PauliBasis,
     StateVec,
     apply_unitary,
@@ -17,7 +16,6 @@ from .core import (
     partial_trace,
     purity,
     relative_fidelity,
-    sample_pauli,
     trace_distance,
 )
 from .gates import Gate, GateSet, builtin_gate, qft_gate_set, standard_gate_set
@@ -42,8 +40,6 @@ from .device import (
     Device,
     DeviceProfile,
     NoiseConfig,
-    ShotRecord,
-    ShotRequest,
     TimeLedger,
     device_time_for_learning,
 )
@@ -56,7 +52,6 @@ from .tomography import (
     required_samples,
 )
 from .reconstruction import (
-    PrepResult,
     ReconstructionReport,
     detect_cnot_by_purity,
     learn_multi,
@@ -64,14 +59,12 @@ from .reconstruction import (
     match_single_qubit,
     match_two_qubit,
     minimize_residual,
-    prep_init,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DensityMatrix",
-    "Outcome",
     "PauliBasis",
     "StateVec",
     "apply_unitary",
@@ -79,7 +72,6 @@ __all__ = [
     "partial_trace",
     "purity",
     "relative_fidelity",
-    "sample_pauli",
     "trace_distance",
     "Gate",
     "GateSet",
@@ -102,8 +94,6 @@ __all__ = [
     "Device",
     "DeviceProfile",
     "NoiseConfig",
-    "ShotRecord",
-    "ShotRequest",
     "TimeLedger",
     "device_time_for_learning",
     "RdmEstimate",
@@ -112,7 +102,6 @@ __all__ = [
     "pauli_tomo",
     "project_to_physical",
     "required_samples",
-    "PrepResult",
     "ReconstructionReport",
     "detect_cnot_by_purity",
     "learn_multi",
@@ -120,5 +109,4 @@ __all__ = [
     "match_single_qubit",
     "match_two_qubit",
     "minimize_residual",
-    "prep_init",
 ]

@@ -406,14 +406,11 @@ def same_circuit(a: LayeredCircuit, b: LayeredCircuit, atol: float = 1e-9) -> bo
     return True
 
 
-_SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
-
-
 def _canonical_blocks(layer: Layer) -> dict[tuple[int, ...], np.ndarray]:
     out = {}
     for b, g in zip(layer.blocks, layer.gates):
         if len(b) == 2 and b[0] > b[1]:
-            out[(b[1], b[0])] = _SWAP @ g.matrix @ _SWAP
+            out[(b[1], b[0])] = g.reversed().matrix
         else:
             out[tuple(b)] = g.matrix
     return out

@@ -7,7 +7,7 @@ Commands
   and write ``report.json`` plus a per-layer ``report.csv``.
 * ``sweep-samples`` - state-tomography accuracy versus sample count for
   window sizes 1-3 and the full-state reference, on a Haar-random state.
-* ``sweep-noise`` - accuracy versus learned depth when every layer estimate
+* ``sweep-noise`` - two-qubit accuracy versus learned depth when every layer estimate
   is perturbed by a Hermitian noise matrix scaled by 5^gamma * 1e-4.
 * ``resolution`` - class inventory and resolution of a gate set.
 * ``generate`` - emit a random strict-layer circuit file.
@@ -25,6 +25,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from .circuits import (
     parse_circuit,
     random_circuit,
 )
-from .core import relative_fidelity_array
+from .core import AXES, PauliBasis, StateVec, _rotated_probabilities, relative_fidelity_array
 from .device import Device, DeviceProfile, NoiseConfig
 from .errors import DegenerateGateSet, QVerifyError, ReconstructionError
 from .gates import GateSet, qft_gate_set, standard_gate_set
@@ -138,11 +139,6 @@ def cmd_reconstruct(args) -> int:
                 if args.noise_p is not None
                 else float(noise_doc.get("depolarizing_p", 0.0))
             ),
-            rdm_gamma=(
-                args.gamma
-                if args.gamma is not None
-                else int(noise_doc.get("rdm_gamma", 0))
-            ),
         )
         t = Fraction(args.t if args.t is not None else str(doc.get("t", 1)))
     except (OSError, ValueError, QVerifyError) as exc:
@@ -197,22 +193,11 @@ def _sample_setting_counts(probs_by_setting: np.ndarray, shots: int, rng) -> np.
 
 
 def _state_probs_by_setting(state: np.ndarray, n: int) -> np.ndarray:
-    from .core import AXIS_ROTATIONS, apply_unitary_array
-
-    out = np.empty((3**n, 1 << n))
-    for s in range(3**n):
-        digits = []
-        rest = s
-        for _ in range(n):
-            digits.append(rest % 3)
-            rest //= 3
-        digits.reverse()
-        psi = state
-        for q, axis_code in enumerate(digits):
-            axis = "XYZ"[axis_code]
-            if axis != "Z":
-                psi = apply_unitary_array(psi, AXIS_ROTATIONS[axis], (q,), n)
-        out[s] = np.abs(psi) ** 2
+    """(3^n, 2^n) readout probabilities, one row per basis, qubit 0's axis slowest."""
+    psi = StateVec(n, state)
+    out = np.array(
+        [_rotated_probabilities(psi, PauliBasis(axes)) for axes in product(AXES, repeat=n)]
+    )
     return out / out.sum(axis=1, keepdims=True)
 
 
@@ -363,8 +348,6 @@ def cmd_sweep_noise(args) -> int:
             raise ValueError("gammas must lie in [0, 5]")
         if args.depths < 1:
             raise ValueError("depths must be positive")
-        if args.n != 2:
-            raise ValueError("the noise sweep models the two-qubit experiment")
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -467,7 +450,6 @@ def main(argv=None) -> int:
     p.add_argument("--mode", choices=["strict", "hardware"], default="hardware")
     p.add_argument("--exact", action="store_true", help="infinite-shot oracle estimator")
     p.add_argument("--noise-p", type=float, default=None)
-    p.add_argument("--gamma", type=int, default=None)
     p.add_argument("--t", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reconstruct)
@@ -481,7 +463,6 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_sweep_samples)
 
     p = sub.add_parser("sweep-noise", help="accuracy vs depth under estimate noise")
-    p.add_argument("--n", type=int, default=2)
     p.add_argument("--gammas", default="0,1,3,5")
     p.add_argument("--depths", type=int, default=10)
     p.add_argument("--seeds", type=int, default=10)

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra, pure-state simulation, and Pauli sampling.
+"""Dense complex linear algebra, pure-state simulation, and Pauli readout.
 
 Conventions used throughout the package:
 
@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .errors import (
     NotNormalized,
     ZeroPurity,
 )
-from .rng import ensure_rng
 
 ATOL = 1e-9
 
@@ -137,22 +137,6 @@ class PauliBasis:
 
     def __str__(self) -> str:
         return "".join(self.axes)
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """One +1/-1 value per qubit."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        vals = tuple(int(v) for v in self.values)
-        if any(v not in (1, -1) for v in vals):
-            raise DimensionMismatch("outcome entries must be +1 or -1")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 # -- state evolution ----------------------------------------------------------
@@ -270,28 +254,8 @@ def _rotated_probabilities(state: StateVec, basis: PauliBasis) -> np.ndarray:
     return np.abs(amp) ** 2
 
 
-def index_to_outcome(index: int, n: int) -> Outcome:
-    bits = format(index, f"0{n}b")
-    return Outcome(tuple(1 if b == "0" else -1 for b in bits))
-
-
-def sample_pauli(state: StateVec, basis: PauliBasis, rng) -> Outcome:
-    """Draw one joint outcome from the exact Born distribution."""
-    return sample_pauli_many(state, basis, 1, rng)[0]
-
-
-def sample_pauli_many(state: StateVec, basis: PauliBasis, shots: int, rng) -> list[Outcome]:
-    """Draw ``shots`` independent joint outcomes (one stream, documented order)."""
-    rng = ensure_rng(rng)
-    probs = _rotated_probabilities(state, basis)
-    probs = probs / probs.sum()
-    draws = rng.choice(probs.shape[0], size=shots, p=probs)
-    n = state.n_qubits
-    return [index_to_outcome(int(d), n) for d in draws]
-
-
 def exact_pauli_distribution(state: StateVec, basis: PauliBasis) -> dict[tuple[int, ...], float]:
     """Exact joint outcome distribution as {(+1/-1 per qubit): probability}."""
     probs = _rotated_probabilities(state, basis)
-    n = state.n_qubits
-    return {index_to_outcome(i, n).values: float(p) for i, p in enumerate(probs)}
+    keys = product((1, -1), repeat=state.n_qubits)  # qubit 0 most significant
+    return {key: float(p) for key, p in zip(keys, probs)}

@@ -1,19 +1,20 @@
 """Black-box simulation of a layered interruptible quantum device.
 
-A :class:`Device` hides its circuit behind a query interface: callers submit
-shot settings (state preparation gates, an inverse-prefix circuit, the layer
-index to interrupt at, and a measurement basis) and receive outcomes plus time
-accounting. Executed time grows by one unit ``t`` per layer actually run, so a
-request with a j-layer prefix interrupted at layer k costs (j + k) * t.
+A :class:`Device` hides its circuit behind a query interface of two methods.
+:meth:`Device.execute_settings` runs shot settings (state preparation gates
+and a measurement basis, each with a shot count) through an inverse-prefix
+circuit and the hidden circuit interrupted at layer k, and returns outcomes;
+:meth:`Device.ideal_choi_state` is the infinite-shot oracle of the same query.
+Executed time grows by one unit ``t`` per layer actually run, so a shot with a
+j-layer prefix interrupted at layer k costs (j + k) * t.
 
-All shots run through one batched path, :meth:`Device.execute_settings`, which
-builds the circuit unitary once per call and prepares, evolves, rotates and
+Each call builds the circuit unitary once and prepares, evolves, rotates and
 samples every setting's shots together (inverse CDF on one uniform draw).
 
 Depolarizing noise is simulated with stochastic pure-state trajectories: after
 each gate of the hidden circuit, every touched qubit independently suffers a
 uniformly random non-identity Pauli with the configured probability. Prefix
-and preparation gates are exact unless ``noisy_prefix`` is set.
+and preparation gates are exact.
 """
 
 from __future__ import annotations
@@ -25,23 +26,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .circuits import (
-    Layer,
-    LayeredCircuit,
-    choi_state,
-    compose_unitary,
-    identity_circuit,
-    layer_unitary,
-)
+from .circuits import Layer, LayeredCircuit, choi_state, compose_unitary, layer_unitary
 from .core import (
     AXES,
     AXIS_ROTATIONS,
-    Outcome,
     PauliBasis,
     StateVec,
     apply_unitary_array,
-    exact_pauli_distribution,
-    index_to_outcome,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -76,54 +67,13 @@ def _check_prep(prep: tuple[tuple[str, ...], ...]) -> None:
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """depolarizing_p: per-gate, per-qubit Pauli error probability.
-
-    rdm_gamma scales post-hoc perturbation of estimated density matrices by
-    5^gamma * 1e-4 (gamma = 0 means no perturbation); it is consumed by the
-    sweep tooling, not by shot execution.
-    """
+    """depolarizing_p: per-gate, per-qubit Pauli error probability."""
 
     depolarizing_p: float = 0.0
-    rdm_gamma: int = 0
-    noisy_prefix: bool = False
 
     def __post_init__(self):
         if not (0.0 <= self.depolarizing_p < 1.0):
             raise InvalidRequest(f"depolarizing_p={self.depolarizing_p} outside [0, 1)")
-        if self.rdm_gamma not in range(6):
-            raise InvalidRequest(f"rdm_gamma={self.rdm_gamma} outside [0, 5]")
-
-
-@dataclass(frozen=True)
-class ShotRequest:
-    """One execution: prep, inverse prefix, interrupt layer, readout basis.
-
-    ``undo`` is an optional exactly-executed layer appended after the hidden
-    prefix (used by the hardware-style reconstruction to cancel a detected
-    entangling gate before single-qubit readout); it costs one extra layer.
-    """
-
-    prep_gates: tuple[tuple[str, ...], ...]
-    inverse_prefix: LayeredCircuit
-    interrupt_at: int
-    basis: PauliBasis
-    undo: Layer | None = None
-
-    def __post_init__(self):
-        prep = tuple(tuple(names) for names in self.prep_gates)
-        _check_prep(prep)
-        object.__setattr__(self, "prep_gates", prep)
-
-
-@dataclass(frozen=True)
-class ShotRecord:
-    """Principal measurement plus the classically generated ancilla half."""
-
-    shot_id: int
-    principal_basis: PauliBasis
-    principal_outcome: Outcome
-    ancilla_basis: PauliBasis
-    ancilla_outcome: Outcome
 
 
 @dataclass
@@ -178,10 +128,10 @@ def device_time_for_learning(d: int, t: Fraction | int, N: int) -> Fraction:
 class Device:
     """Query handle for a hidden layered circuit.
 
-    Public surface: ``n``, ``d``, ``t``, ``ledger``, :meth:`execute_shot`,
-    :meth:`execute_batch`, and the infinite-shot oracles used by exact-mode
-    verification and tests. The circuit itself is not reachable through this
-    surface.
+    Public surface: ``n``, ``d``, ``t``, ``ledger`` and the two queries
+    :meth:`execute_settings` (shots) and :meth:`ideal_choi_state` (the
+    infinite-shot oracle used by exact-mode verification). The circuit itself
+    is not reachable through this surface.
     """
 
     def __init__(self, profile: DeviceProfile, noise: NoiseConfig | None = None):
@@ -230,44 +180,6 @@ class Device:
 
     # -- execution -------------------------------------------------------------
 
-    def execute_shot(self, req: ShotRequest, rng) -> tuple[Outcome, Fraction]:
-        """Run one shot; returns the outcome and the ledger increment."""
-        before = self.ledger.layer_count
-        outcome = self.execute_batch([req], rng)[0]
-        return outcome, (self.ledger.layer_count - before) * self.t
-
-    def execute_batch(self, reqs: list[ShotRequest], rng) -> list[Outcome]:
-        """Run many shots of one experiment as one :meth:`execute_settings` call.
-
-        All requests must share the same inverse prefix, interruption layer
-        and undo layer (they may differ in prep and basis). Requests with equal
-        prep and basis form one setting, and settings run in sorted key order,
-        which makes batches bit-reproducible for a given seed.
-        """
-        if not reqs:
-            return []
-        first = reqs[0]
-        for req in reqs:
-            if (
-                req.inverse_prefix is not first.inverse_prefix
-                and req.inverse_prefix != first.inverse_prefix
-            ) or req.interrupt_at != first.interrupt_at or req.undo != first.undo:
-                raise InvalidRequest("batch mixes different circuit configurations")
-
-        groups: dict[tuple, list[int]] = {}
-        for idx, req in enumerate(reqs):
-            groups.setdefault((req.prep_gates, str(req.basis)), []).append(idx)
-        members = [groups[key] for key in sorted(groups)]
-        settings = [(reqs[m[0]].prep_gates, reqs[m[0]].basis, len(m)) for m in members]
-        index_arrays = self.execute_settings(
-            first.inverse_prefix, first.interrupt_at, settings, rng, undo=first.undo
-        )
-        outcomes: list[Outcome | None] = [None] * len(reqs)
-        for group, draws in zip(members, index_arrays):
-            for member, idx in zip(group, draws.tolist()):
-                outcomes[member] = index_to_outcome(idx, self.n)
-        return outcomes  # type: ignore[return-value]
-
     def execute_settings(
         self,
         inverse_prefix: LayeredCircuit,
@@ -297,13 +209,12 @@ class Device:
             states = self._unitary(inverse_prefix, k, undo) @ psi
             columns = np.repeat(np.arange(len(counts)), counts)
         else:
-            if not self._noise.noisy_prefix:
-                psi = compose_unitary(inverse_prefix) @ psi
+            psi = compose_unitary(inverse_prefix) @ psi
             undo_u = None if undo is None else layer_unitary(undo, self.n)
             states = np.repeat(psi, counts, axis=1)
             for a, c in zip(starts, counts.tolist()):
                 states[:, a : a + c] = self._trajectories(
-                    states[:, a : a + c], inverse_prefix, k, undo_u, noise_rng
+                    states[:, a : a + c], k, undo_u, noise_rng
                 )
             axes = np.repeat(axes, counts, axis=0)
             columns = np.arange(len(u01))
@@ -311,11 +222,10 @@ class Device:
         self.ledger.add_shots(inverse_prefix.depth + k + (undo is not None), len(u01))
         return [draws[a : a + c] for a, c in zip(starts, counts.tolist())]
 
-    def _trajectories(self, cols, inverse_prefix, k, undo_u, rng) -> np.ndarray:
-        """Noisy runs of prepared column states, one column per shot."""
+    def _trajectories(self, cols, k, undo_u, rng) -> np.ndarray:
+        """Noisy runs of the hidden layers on column states, one column per shot."""
         n, p = self.n, self._noise.depolarizing_p
-        noisy = inverse_prefix.layers if self._noise.noisy_prefix else ()
-        for layer in noisy + self._hidden.layers[:k]:
+        for layer in self._hidden.layers[:k]:
             for block, gate in zip(layer.blocks, layer.gates):
                 cols = apply_unitary_array(cols, gate.matrix, block, n)
                 for q in block:
@@ -329,20 +239,12 @@ class Device:
                             )
         return cols if undo_u is None else undo_u @ cols
 
-    # -- infinite-shot oracles ---------------------------------------------------
+    # -- infinite-shot oracle ----------------------------------------------------
 
     def ideal_choi_state(self, inverse_prefix: LayeredCircuit, k: int) -> StateVec:
         """Choi state of prefix-then-first-k-layers, noiselessly (2n qubits)."""
         self._check_circuit(inverse_prefix, k, None)
         return choi_state(self._unitary(inverse_prefix, k), self.n)
-
-    def exact_outcome_distribution(self, req: ShotRequest) -> dict:
-        """Noiseless outcome distribution for one request."""
-        self._check_circuit(req.inverse_prefix, req.interrupt_at, req.undo)
-        prep, _, _ = self._setting_codes([(req.prep_gates, req.basis, 1)])
-        u = self._unitary(req.inverse_prefix, req.interrupt_at, req.undo)
-        psi = u @ _product_states(prep)[:, 0]
-        return exact_pauli_distribution(StateVec(self.n, psi), req.basis)
 
 
 def _product_states(prep: np.ndarray) -> np.ndarray:
@@ -377,13 +279,3 @@ def _sample(states: np.ndarray, columns: np.ndarray, u01: np.ndarray) -> np.ndar
     for edge in cdf[:-1]:  # a draw past every other edge is the last outcome
         draws += edge[columns] <= u01
     return draws
-
-
-def blank_request(n: int, basis: PauliBasis, k: int = 0) -> ShotRequest:
-    """No prep, empty prefix: measure the first k layers' output directly."""
-    return ShotRequest(
-        prep_gates=tuple(() for _ in range(n)),
-        inverse_prefix=identity_circuit(n),
-        interrupt_at=k,
-        basis=basis,
-    )

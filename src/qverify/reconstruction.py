@@ -30,7 +30,6 @@ from .circuits import (
 )
 from .core import (
     DensityMatrix,
-    Outcome,
     PauliBasis,
     StateVec,
     exact_pauli_distribution,
@@ -43,6 +42,7 @@ from .device import PREP_SEQUENCES, PREP_VECTORS, Device, TimeLedger
 from .errors import (
     AmbiguousMatch,
     EmptyGateSet,
+    InvalidParameter,
     NoMatch,
     OverlappingAssignment,
     ReconstructionError,
@@ -57,15 +57,6 @@ AXES_STR = "XYZ"
 
 
 # -- pseudo-measurement preparation ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PrepResult:
-    """Sampled ancilla half plus the product-state preparation realizing it."""
-
-    prep_gates: tuple[tuple[str, ...], ...]
-    ancilla_basis: PauliBasis
-    ancilla_outcome: Outcome
 
 
 def prep_gate_names(axis: str, outcome: int) -> tuple[str, ...]:
@@ -103,15 +94,6 @@ def _pauli_basis(codes: tuple[int, ...]) -> PauliBasis:
 def prep_state(axis: str, outcome: int) -> np.ndarray:
     """Single-qubit state produced by :func:`prep_gate_names` on |0>."""
     return PREP_VECTORS[PREP_SEQUENCES.index(prep_gate_names(axis, outcome))].copy()
-
-
-def prep_init(n: int, rng) -> PrepResult:
-    """Sample the classical ancilla data for one shot (uniform axes, +-1)."""
-    rng = ensure_rng(rng)
-    axes = tuple(AXES_STR[rng.integers(3)] for _ in range(n))
-    outs = tuple(1 - 2 * int(rng.integers(2)) for _ in range(n))
-    gates = tuple(prep_gate_names(a, o) for a, o in zip(axes, outs))
-    return PrepResult(gates, PauliBasis(axes), Outcome(outs))
 
 
 def exact_pseudo_joint(
@@ -389,10 +371,17 @@ def _learn_single_full(
             if not best_nearest or nearest[0][1] < best_nearest[0][1]:
                 best_nearest = nearest
         if hit is None:
+            # no window containing j matched a two-qubit gate either; name the
+            # nearest one of each, since the miss may be an entangler outside eps
+            pair_nearest = []
+            for a, b in windows:
+                _, nearest = _match(by_pair[(a, b)].matrix.entries, gs.doubles, 2, eps)
+                pair_nearest += [(f"{name} on window {a},{b}", d) for name, d in nearest[:1]]
+            also = ", nor a two-qubit gate on any window containing it" if pair_nearest else ""
             raise NoMatch(
-                f"no single-qubit gate within eps={eps} for qubit {j}",
+                f"no single-qubit gate within eps={eps} for qubit {j}{also}",
                 qubits=(j,),
-                nearest=best_nearest[:3],
+                nearest=best_nearest[:3] + pair_nearest,
             )
         gate, dist = hit
         blocks.append((j,))
@@ -646,9 +635,12 @@ def learn_multi(
     ``mode`` is "strict" (random-setting overlapping tomography, Choi-state
     matching), "strict-exact" (same assembly driven by the infinite-shot
     oracle), or "hardware" (dedicated settings, purity detection, residual
-    search). ``shots`` counts shots per layer in strict mode and shots per
-    setting per round in hardware mode.
+    search); any other mode raises InvalidParameter before the device runs.
+    ``shots`` counts shots per layer in strict mode and shots per setting per
+    round in hardware mode.
     """
+    if mode not in ("strict", "strict-exact", "hardware"):
+        raise InvalidParameter(f"unknown mode {mode!r}: use strict, strict-exact or hardware")
     if mode in ("strict", "strict-exact"):
         _warn_eps(gs, eps)
     seed_based = not isinstance(rng, np.random.Generator)

@@ -16,21 +16,18 @@ renormalizes for reporting purposes.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from .core import DensityMatrix, Outcome, PauliBasis, PAULIS
-from .device import ShotRecord
+from .core import DensityMatrix, PAULIS
 from .errors import InvalidParameter, WindowSizeMismatch
 from .rng import ensure_rng
 
 AXIS_CODE = {"X": 0, "Y": 1, "Z": 2}
-CODE_AXIS = "XYZ"
 PAULI_LETTERS = "IXYZ"
 
 LOW_COMPAT_THRESHOLD = 30
@@ -85,7 +82,6 @@ class RecordSet:
     n: int
     bases: np.ndarray
     outcomes: np.ndarray
-    shot_ids: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         bases = np.ascontiguousarray(self.bases, dtype=np.int8)
@@ -96,16 +92,10 @@ class RecordSet:
             raise InvalidParameter(
                 f"expected {2 * self.n} wires, got {bases.shape[1]}"
             )
-        ids = self.shot_ids
-        if ids is None:
-            ids = np.arange(bases.shape[0], dtype=np.int64)
-        else:
-            ids = np.ascontiguousarray(ids, dtype=np.int64)
-        for arr in (bases, outcomes, ids):
+        for arr in (bases, outcomes):
             arr.flags.writeable = False
         object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "shot_ids", ids)
 
     def __len__(self) -> int:
         return self.bases.shape[0]
@@ -113,65 +103,6 @@ class RecordSet:
     @property
     def wires(self) -> int:
         return 2 * self.n
-
-    @classmethod
-    def from_records(cls, n: int, records: list[ShotRecord]) -> "RecordSet":
-        bases = np.empty((len(records), 2 * n), dtype=np.int8)
-        outcomes = np.empty_like(bases)
-        ids = np.empty(len(records), dtype=np.int64)
-        for row, rec in enumerate(records):
-            bases[row, :n] = [AXIS_CODE[a] for a in rec.principal_basis.axes]
-            bases[row, n:] = [AXIS_CODE[a] for a in rec.ancilla_basis.axes]
-            outcomes[row, :n] = rec.principal_outcome.values
-            outcomes[row, n:] = rec.ancilla_outcome.values
-            ids[row] = rec.shot_id
-        return cls(n, bases, outcomes, ids)
-
-    def records(self):
-        n = self.n
-        for row in range(len(self)):
-            yield ShotRecord(
-                shot_id=int(self.shot_ids[row]),
-                principal_basis=PauliBasis(tuple(CODE_AXIS[c] for c in self.bases[row, :n])),
-                principal_outcome=Outcome(tuple(int(v) for v in self.outcomes[row, :n])),
-                ancilla_basis=PauliBasis(tuple(CODE_AXIS[c] for c in self.bases[row, n:])),
-                ancilla_outcome=Outcome(tuple(int(v) for v in self.outcomes[row, n:])),
-            )
-
-    def to_jsonl(self) -> str:
-        lines = []
-        for rec in self.records():
-            lines.append(
-                json.dumps(
-                    {
-                        "shot_id": rec.shot_id,
-                        "principal_basis": str(rec.principal_basis),
-                        "principal_outcome": list(rec.principal_outcome.values),
-                        "ancilla_basis": str(rec.ancilla_basis),
-                        "ancilla_outcome": list(rec.ancilla_outcome.values),
-                    },
-                    sort_keys=True,
-                )
-            )
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    @classmethod
-    def from_jsonl(cls, n: int, text: str) -> "RecordSet":
-        records = []
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            records.append(
-                ShotRecord(
-                    shot_id=int(doc["shot_id"]),
-                    principal_basis=PauliBasis.from_string(doc["principal_basis"]),
-                    principal_outcome=Outcome(tuple(doc["principal_outcome"])),
-                    ancilla_basis=PauliBasis.from_string(doc["ancilla_basis"]),
-                    ancilla_outcome=Outcome(tuple(doc["ancilla_outcome"])),
-                )
-            )
-        return cls.from_records(n, records)
 
 
 # -- Pauli coefficient estimation ---------------------------------------------

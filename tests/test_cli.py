@@ -133,6 +133,14 @@ class TestReconstructCommand:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_gamma_flag_is_gone(self, tmp_path, demo_file):
+        with pytest.raises(SystemExit) as exit_:
+            run([
+                "reconstruct", "--circuit", str(demo_file), "--gamma", "1",
+                "--out", str(tmp_path / "out"),
+            ])
+        assert exit_.value.code == 2
+
     def test_unlearnable_circuit_is_reconstruction_error(self, tmp_path, capsys):
         # hidden S gate is outside the standard matching set
         doc = {"n": 2, "layers": [[{"gate": "S", "qubits": [0]}, {"gate": "I", "qubits": [1]}]]}
@@ -205,6 +213,11 @@ class TestSweepCommands:
     def test_sweep_noise_rejects_bad_gamma(self, tmp_path):
         rc = run(["sweep-noise", "--gammas", "0,9", "--out", str(tmp_path)])
         assert rc == 2
+
+    def test_sweep_noise_has_no_n_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as exit_:
+            run(["sweep-noise", "--n", "2", "--out", str(tmp_path)])
+        assert exit_.value.code == 2
 
 
 class TestResolutionCommand:

@@ -3,7 +3,6 @@ import pytest
 
 from qverify.core import (
     DensityMatrix,
-    Outcome,
     PauliBasis,
     StateVec,
     apply_unitary,
@@ -11,8 +10,6 @@ from qverify.core import (
     partial_trace,
     purity,
     relative_fidelity,
-    sample_pauli,
-    sample_pauli_many,
     trace_distance,
 )
 from qverify.errors import (
@@ -206,39 +203,6 @@ class TestRelativeFidelity:
             relative_fidelity(ket(1, 0).density(), BELL.density())
 
 
-class TestSampling:
-    def test_deterministic_cases(self):
-        assert sample_pauli(ket(1, 0), PauliBasis(("Z",)), 1).values == (1,)
-        plus = apply_unitary(ket(1, 0), H, (0,))
-        assert sample_pauli(plus, PauliBasis(("X",)), 2).values == (1,)
-
-    def test_unbiased_superposition(self):
-        outs = sample_pauli_many(ket(1, 0), PauliBasis(("X",)), 4000, 3)
-        frac = sum(1 for o in outs if o.values[0] == 1) / 4000
-        assert 0.45 < frac < 0.55
-
-    def test_seed_reproducibility(self):
-        a = [sample_pauli(BELL, PauliBasis(("X", "Z")), 99).values for _ in range(5)]
-        b = [sample_pauli(BELL, PauliBasis(("X", "Z")), 99).values for _ in range(5)]
-        assert a == b
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            sample_pauli(BELL, PauliBasis(("Z",)), 1)
-
-    def test_empirical_matches_exact_two_qubit(self, rng):
-        shots = 100_000
-        for axes in ("ZZ", "XX", "XY"):
-            basis = PauliBasis.from_string(axes)
-            exact = exact_pauli_distribution(BELL, basis)
-            outs = sample_pauli_many(BELL, basis, shots, rng)
-            freq = {}
-            for o in outs:
-                freq[o.values] = freq.get(o.values, 0) + 1 / shots
-            tv = 0.5 * sum(abs(freq.get(k, 0.0) - p) for k, p in exact.items())
-            assert tv < 0.02
-
-
 class TestExactDistribution:
     def test_bell_zz_correlations(self):
         dist = exact_pauli_distribution(BELL, PauliBasis(("Z", "Z")))
@@ -252,6 +216,10 @@ class TestExactDistribution:
         for k, p in oracle.items():
             assert abs(dist[k] - p) < 1e-12
         assert abs(dist[(1, 1)] - 0.5) < 1e-12
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            exact_pauli_distribution(BELL, PauliBasis(("Z",)))
 
     def test_zero_state(self):
         dist = exact_pauli_distribution(ket(1, 0), PauliBasis(("Z",)))
@@ -288,9 +256,7 @@ class TestTypes:
         assert not dm.is_physical
         assert DensityMatrix(1, np.eye(2) / 2).is_physical
 
-    def test_outcome_and_basis_validation(self):
-        with pytest.raises(DimensionMismatch):
-            Outcome((0, 1))
+    def test_basis_validation(self):
         with pytest.raises(DimensionMismatch):
             PauliBasis(("Q",))
 

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -11,14 +12,12 @@ from qverify.circuits import (
     identity_circuit,
     random_circuit,
 )
-from qverify.core import PauliBasis
+from qverify.core import PauliBasis, StateVec, exact_pauli_distribution
 from qverify.device import (
     Device,
     DeviceProfile,
     NoiseConfig,
-    ShotRequest,
     TimeLedger,
-    blank_request,
     device_time_for_learning,
 )
 from qverify.errors import InvalidRequest
@@ -37,54 +36,55 @@ def demo_device(depth=3, noise=None, t=Fraction(1)):
     return Device(DeviceProfile(2, c.depth, t, c), noise), c
 
 
+def blank_shots(dev, axes, k, shots, rng, prefix=None, undo=None):
+    """Indices of the outcomes of ``shots`` unprepared shots read out along ``axes``."""
+    prefix = identity_circuit(dev.n) if prefix is None else prefix
+    setting = (((),) * dev.n, PauliBasis.from_string(axes), shots)
+    return dev.execute_settings(prefix, k, [setting], rng, undo=undo)[0]
+
+
 class TestExecuteShot:
+    """Shots through ``Device.execute_settings``; index 0 is the all-+1 outcome."""
+
     def test_h_layer_z_basis_is_unbiased(self):
         dev = single_h_device()
-        rng = np.random.default_rng(0)
-        outs = [dev.execute_shot(blank_request(1, PauliBasis(("Z",)), k=1), rng)[0] for _ in range(2000)]
-        frac = sum(1 for o in outs if o.values[0] == 1) / len(outs)
+        outs = blank_shots(dev, "Z", 1, 2000, np.random.default_rng(0))
+        frac = np.mean(outs == 0)
         assert 0.44 < frac < 0.56
 
     def test_interrupt_at_zero_is_identity_run(self):
         dev = single_h_device()
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            out, _ = dev.execute_shot(blank_request(1, PauliBasis(("Z",)), k=0), rng)
-            assert out.values == (1,)
+        outs = blank_shots(dev, "Z", 0, 50, np.random.default_rng(1))
+        assert (outs == 0).all()
 
     def test_ledger_delta_counts_prefix_plus_hidden(self):
         dev, c = demo_device(3)  # six strict layers
         prefix = random_circuit(2, 2, standard_gate_set(), 5)
-        req = ShotRequest(((), ()), prefix, 3, PauliBasis(("Z", "Z")))
-        _, delta = dev.execute_shot(req, np.random.default_rng(2))
-        assert delta == 5 * dev.t
-        assert dev.ledger.total_time == 5
+        blank_shots(dev, "ZZ", 3, 1, np.random.default_rng(2), prefix=prefix)
+        assert dev.ledger.total_time == 5 * dev.t
 
     def test_undo_layer_costs_one_unit(self):
         dev, _ = demo_device(1)
         undo = Layer(((0, 1),), (builtin_gate("CNOT"),))
-        req = ShotRequest(((), ()), identity_circuit(2), 1, PauliBasis(("Z", "Z")), undo=undo)
-        _, delta = dev.execute_shot(req, np.random.default_rng(3))
-        assert delta == 2 * dev.t
+        blank_shots(dev, "ZZ", 1, 1, np.random.default_rng(3), undo=undo)
+        assert dev.ledger.total_time == 2 * dev.t
 
     def test_request_validation(self):
         dev, _ = demo_device(1)
         with pytest.raises(InvalidRequest):
-            dev.execute_shot(blank_request(2, PauliBasis(("Z", "Z")), k=99), 0)
+            blank_shots(dev, "ZZ", 99, 1, 0)
         with pytest.raises(InvalidRequest):
-            dev.execute_shot(blank_request(2, PauliBasis(("Z",)), k=0), 0)
-        with pytest.raises(InvalidRequest):
-            ShotRequest((("Q",), ()), identity_circuit(2), 0, PauliBasis(("Z", "Z")))
-        with pytest.raises(InvalidRequest):
-            ShotRequest((("H", "X"), ()), identity_circuit(2), 0, PauliBasis(("Z", "Z")))
+            blank_shots(dev, "Z", 0, 1, 0)
+        for prep in ((("Q",), ()), (("H", "X"), ())):
+            with pytest.raises(InvalidRequest):
+                dev.execute_settings(identity_circuit(2), 0, [(prep, PauliBasis(("Z", "Z")), 1)], 0)
 
     def test_seed_determinism(self):
         dev1, _ = demo_device(2)
         dev2, _ = demo_device(2)
-        reqs = [blank_request(2, PauliBasis(("X", "Z")), k=2) for _ in range(64)]
-        a = [o.values for o in dev1.execute_batch(reqs, np.random.default_rng(7))]
-        b = [o.values for o in dev2.execute_batch(reqs, np.random.default_rng(7))]
-        assert a == b
+        a = blank_shots(dev1, "XZ", 2, 64, np.random.default_rng(7))
+        b = blank_shots(dev2, "XZ", 2, 64, np.random.default_rng(7))
+        assert np.array_equal(a, b)
 
 
 class TestExecuteSettingsValidation:
@@ -142,7 +142,9 @@ class TestBlackBox:
         public = [name for name in dir(dev) if not name.startswith("_")]
         assert "hidden_circuit" not in public
         assert all("hidden" not in name for name in public)
-        assert {"n", "d", "t", "ledger", "execute_shot", "execute_batch"} <= set(public)
+        assert {"n", "d", "t", "ledger"} <= set(public)
+        methods = {name for name in public if callable(getattr(dev, name))}
+        assert methods == {"execute_settings", "ideal_choi_state"}
 
 
 class TestDeviceTime:
@@ -173,26 +175,14 @@ class TestOutcomeDistributions:
         dev, c = demo_device(1)
         shots = 100_000
         for axes in ("ZZ", "XY"):
-            basis = PauliBasis.from_string(axes)
-            req = blank_request(2, basis, k=2)
-            exact = dev.exact_outcome_distribution(req)
-            outs = dev.execute_batch([req] * shots, np.random.default_rng(11))
-            freq = {}
-            for o in outs:
-                freq[o.values] = freq.get(o.values, 0) + 1 / shots
-            tv = 0.5 * sum(abs(freq.get(key, 0.0) - p) for key, p in exact.items())
+            exact = exact_pauli_distribution(
+                StateVec(2, compose_unitary(c, 2)[:, 0]), PauliBasis.from_string(axes)
+            )
+            outs = blank_shots(dev, axes, 2, shots, np.random.default_rng(11))
+            freq = np.bincount(outs, minlength=4) / shots
+            # exact keys run in outcome-index order: (+1, +1), (+1, -1), ...
+            tv = 0.5 * np.abs(freq - list(exact.values())).sum()
             assert tv < 0.02
-
-    def test_exact_distribution_matches_composed_circuit(self):
-        dev, c = demo_device(2)
-        basis = PauliBasis.from_string("XZ")
-        got = dev.exact_outcome_distribution(blank_request(2, basis, k=3))
-        from qverify.core import StateVec, exact_pauli_distribution
-
-        u = compose_unitary(c, 3)
-        want = exact_pauli_distribution(StateVec(2, u[:, 0]), basis)
-        for key, p in want.items():
-            assert abs(got[key] - p) < 1e-12
 
     def test_ideal_choi_state_composes_prefix(self):
         dev, c = demo_device(1)
@@ -206,19 +196,15 @@ class TestNoise:
     def test_depolarizing_changes_statistics(self):
         clean, c = demo_device(1)
         noisy = Device(DeviceProfile(2, c.depth, Fraction(1), c), NoiseConfig(depolarizing_p=0.4))
-        req = blank_request(2, PauliBasis(("Z", "Z")), k=2)
-        rng = np.random.default_rng(13)
-        shots = 6000
-        # layer outputs a Bell state: ZZ parity is +1 without noise
-        outs = noisy.execute_batch([req] * shots, rng)
-        mismatched = sum(1 for o in outs if o.values[0] != o.values[1]) / shots
-        assert mismatched > 0.1
+        # H x H then CNOT leaves |++>: an XX readout is (+1, +1) without noise
+        assert (blank_shots(clean, "XX", 2, 6000, np.random.default_rng(13)) == 0).all()
+        outs = blank_shots(noisy, "XX", 2, 6000, np.random.default_rng(13))
+        assert np.mean(outs != 0) > 0.1
 
     def test_noise_config_validation(self):
         with pytest.raises(InvalidRequest):
             NoiseConfig(depolarizing_p=1.5)
-        with pytest.raises(InvalidRequest):
-            NoiseConfig(rdm_gamma=9)
+        assert [f.name for f in dataclasses.fields(NoiseConfig)] == ["depolarizing_p"]
 
     def test_reconstruction_degrades_monotonically(self):
         """Median reconstruction fidelity over seeds is non-increasing in p."""

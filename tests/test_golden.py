@@ -15,8 +15,7 @@ import pytest
 
 from qverify.benchmarks import demo_circuit
 from qverify.circuits import Layer, LayeredCircuit, random_circuit
-from qverify.core import PauliBasis
-from qverify.device import Device, DeviceProfile, NoiseConfig, ShotRequest
+from qverify.device import Device, DeviceProfile, NoiseConfig
 from qverify.gates import builtin_gate, standard_gate_set
 from qverify.reconstruction import _dedicated_record_set, _shot_record_set
 
@@ -92,22 +91,3 @@ def test_dedicated_record_set_digest(case):
     undo = Layer(((0, 1),), (builtin_gate("CNOT"),)) if with_undo else None
     rs = _dedicated_record_set(dev, 2, prefix, 300, np.random.default_rng(21), undo=undo)
     assert (_digest(rs), dev.ledger.layer_count) == DEDICATED_CASES[case]
-
-
-def test_execute_batch_digest():
-    """Mixed prep and basis requests: group order and per-request placement."""
-    c = demo_circuit(2)
-    dev = Device(DeviceProfile(2, c.depth, Fraction(1), c))
-    prefix = LayeredCircuit(2, c.layers[:2]).inverse()
-    preps = [((), ()), (("X", "H"), ("S",)), (("H", "S"), ("X",)), ((), ("X", "H", "S"))]
-    bases = [PauliBasis.from_string(s) for s in ("ZZ", "XY", "YX")]
-    reqs = [
-        ShotRequest(preps[i % 4], prefix, 3, bases[(i * 7) % 3]) for i in range(240)
-    ]
-    outs = dev.execute_batch(reqs, np.random.default_rng(5))
-    flat = np.array([o.values for o in outs], dtype=np.int8)
-    digest = hashlib.sha256(flat.tobytes()).hexdigest()
-    assert (digest, dev.ledger.layer_count) == (
-        "493c8386a6f2cb3386b66bea8b342615931ea0495c91783560561e6db79481a0",
-        1200,
-    )

@@ -25,6 +25,7 @@ from qverify.device import Device, DeviceProfile, device_time_for_learning
 from qverify.errors import (
     AmbiguousMatch,
     EmptyGateSet,
+    InvalidParameter,
     NoMatch,
     OverlappingAssignment,
     TieWarning,
@@ -39,7 +40,6 @@ from qverify.reconstruction import (
     match_two_qubit,
     minimize_residual,
     prep_gate_names,
-    prep_init,
     prep_state,
 )
 from qverify.resolution import cached_resolution
@@ -97,14 +97,6 @@ class TestPrepRules:
         assert np.allclose(prep_state("Z", 1), [1, 0])
         assert np.allclose(prep_state("X", -1), np.array([1, -1]) / np.sqrt(2))
         assert np.allclose(prep_state("Y", 1), np.array([1, -1j]) / np.sqrt(2))
-
-    def test_prep_init_shapes_and_determinism(self):
-        a = prep_init(3, np.random.default_rng(5))
-        b = prep_init(3, np.random.default_rng(5))
-        assert a == b
-        assert len(a.prep_gates) == 3
-        assert all(v in (1, -1) for v in a.ancilla_outcome.values)
-        assert all(len(g) <= 3 for g in a.prep_gates)
 
 
 class TestPseudoMeasurementEquivalence:
@@ -281,6 +273,24 @@ class TestLearnMulti:
         with pytest.raises(NoMatch) as err:
             learn_multi(dev, 0, gs, 0.2, 1, mode="strict-exact")
         assert err.value.layer == 2
+
+    def test_missing_entangler_names_its_window(self):
+        cz = Gate("CZ", 2, np.diag([1, 1, 1, -1]).astype(complex))
+        dev = device_for(circuit_of(2, L((cz, (0, 1)))))
+        with pytest.raises(NoMatch) as err:
+            learn_multi(dev, 0, standard_gate_set(), 0.2, 1, mode="strict-exact")
+        assert err.value.qubits == (0,)
+        assert "CNOT on window 0,1" in str(err.value)
+        assert any(name == "CNOT on window 0,1" for name, _ in err.value.nearest)
+
+    def test_unknown_mode_rejected_before_device_work(self):
+        dev = device_for(demo_circuit(1))
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidParameter):
+            learn_multi(dev, 4000, standard_gate_set(), 0.22, rng, mode="hardwre")
+        assert rng.bit_generator.state == state
+        assert dev.ledger.layer_count == 0
 
     def test_shot_mode_reconstructs_demo(self):
         c = demo_circuit(1)

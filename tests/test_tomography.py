@@ -289,24 +289,6 @@ class TestPerturbation:
             assert abs(norm - 5.0**gamma * 1e-4) < 1e-12
 
 
-class TestRecordIO:
-    def test_bit_exact_round_trip(self):
-        c = demo_circuit(1)
-        dev = Device(DeviceProfile(2, c.depth, Fraction(1), c))
-        rs = _shot_record_set(dev, 1, identity_circuit(2), 500, np.random.default_rng(9))
-        text = rs.to_jsonl()
-        again = RecordSet.from_jsonl(2, text)
-        assert np.array_equal(rs.bases, again.bases)
-        assert np.array_equal(rs.outcomes, again.outcomes)
-        assert again.to_jsonl() == text
-
-    def test_record_objects_round_trip(self):
-        rs = bell_record_set()
-        again = RecordSet.from_records(1, list(rs.records()))
-        assert np.array_equal(rs.bases, again.bases)
-        assert np.array_equal(rs.outcomes, again.outcomes)
-
-
 class TestSampleBoundEmpirically:
     def test_two_qubit_bound_holds_at_desk_scale(self):
         """Register windows stay inside eps at the full m=2 sample count."""
