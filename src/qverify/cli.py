@@ -220,7 +220,7 @@ def _haar_state(n: int, rng) -> np.ndarray:
 def cmd_sweep_samples(args) -> int:
     from itertools import combinations
 
-    from .core import partial_trace_array
+    from .core import pure_marginal_array
 
     try:
         shots_list = [int(x) for x in args.shots_list.split(",")]
@@ -241,14 +241,12 @@ def cmd_sweep_samples(args) -> int:
     for trial in range(args.seeds):
         rng = stream(seed, trial)
         state = _haar_state(n, rng)
-        rho = np.outer(state, state.conj())
         probs = _state_probs_by_setting(state, n)
-        ideal = {}
-        for m in window_sizes:
-            for subset in combinations(range(n), m):
-                ideal[subset] = (
-                    rho if m == n else partial_trace_array(rho, list(subset), n)
-                )
+        ideal = {
+            subset: pure_marginal_array(state, list(subset), n)
+            for m in window_sizes
+            for subset in combinations(range(n), m)
+        }
         for N in shots_list:
             counts = _sample_setting_counts(probs, N, rng)
             for m in window_sizes:

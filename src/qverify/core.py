@@ -200,6 +200,19 @@ def partial_trace_array(rho: np.ndarray, keep: list[int], n: int) -> np.ndarray:
     return reduced.reshape(dim, dim)
 
 
+def pure_marginal_array(amplitudes: np.ndarray, keep: list[int], n: int) -> np.ndarray:
+    """Reduced density matrix of a pure n-qubit state on the sorted ``keep``.
+
+    Equal to ``partial_trace_array(np.outer(psi, psi.conj()), keep, n)``, but
+    the state is reshaped to a (2^|keep|, 2^(n-|keep|)) matrix M, qubits in
+    ``keep`` as rows, and the result is M M^dagger: memory stays O(2^n)
+    instead of the 4^n entries of the outer product.
+    """
+    rest = [q for q in range(n) if q not in keep]
+    m = amplitudes.reshape([2] * n).transpose(list(keep) + rest).reshape(1 << len(keep), -1)
+    return m @ m.conj().T
+
+
 # -- metrics ------------------------------------------------------------------
 
 

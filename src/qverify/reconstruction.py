@@ -34,6 +34,7 @@ from .core import (
     StateVec,
     exact_pauli_distribution,
     partial_trace_array,
+    pure_marginal_array,
     purity,
     relative_fidelity_array,
     trace_distance_array,
@@ -290,10 +291,9 @@ def _shot_record_set(
 
 def _exact_window_estimates(device: Device, k: int, prefix: LayeredCircuit) -> list[RdmEstimate]:
     omega = device.ideal_choi_state(prefix, k)
-    rho = np.outer(omega.amplitudes, omega.amplitudes.conj())
     out = []
     for subset in pair_windows(device.n):
-        reduced = partial_trace_array(rho, sorted(subset), 2 * device.n)
+        reduced = pure_marginal_array(omega.amplitudes, sorted(subset), 2 * device.n)
         out.append(
             RdmEstimate(subset=subset, matrix=DensityMatrix(4, reduced), compat_counts={})
         )
@@ -323,7 +323,7 @@ def _learn_single_full(
         rs = _shot_record_set(device, k, prefix, shots, rng)
         estimates = [estimate_window(rs, subset) for subset in pair_windows(n)]
     else:
-        raise ReconstructionError(f"unknown estimator mode {mode!r}")
+        raise InvalidParameter(f"unknown estimator mode {mode!r}: use shots or exact")
 
     report = LayerReport(index=k, structure=(), gates=())
     by_pair = {est.subset[:2]: est for est in estimates}
@@ -410,10 +410,9 @@ def _fill_window_diagnostics(report: LayerReport, layer: Layer, n: int, by_pair:
     clip-and-renormalize projection shrinks the dominant eigenvalue of
     near-pure states and biases their purity low by more than the shot noise.
     """
-    ideal = choi_state(layer_unitary(layer, n), n)
-    ideal_rho = np.outer(ideal.amplitudes, ideal.amplitudes.conj())
+    ideal = choi_state(layer_unitary(layer, n), n).amplitudes
     for (i, j), est in by_pair.items():
-        window_ideal = partial_trace_array(ideal_rho, sorted((i, j, i + n, j + n)), 2 * n)
+        window_ideal = pure_marginal_array(ideal, sorted((i, j, i + n, j + n)), 2 * n)
         report.fidelities[f"{i},{j}"] = relative_fidelity_array(
             est.matrix.entries, window_ideal
         )
@@ -605,11 +604,10 @@ def _fill_register_diagnostics(report, layers, n, raw1) -> None:
     u = np.eye(1 << n, dtype=complex)
     for layer in layers:
         u = layer_unitary(layer, n) @ u
-    ideal = choi_state(u, n)
-    ideal_rho = np.outer(ideal.amplitudes, ideal.amplitudes.conj())
+    ideal = choi_state(u, n).amplitudes
     for q in range(n):
         key = str(q)
-        ideal_marg = partial_trace_array(ideal_rho, [q, q + n], 2 * n)
+        ideal_marg = pure_marginal_array(ideal, [q, q + n], 2 * n)
         report.purities[key] = purity(raw1[q])
         report.purities_theory[key] = float(
             np.einsum("ij,ji->", ideal_marg, ideal_marg).real

@@ -23,10 +23,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .circuits import Layer, choi_state, layer_unitary
-from .core import DensityMatrix, partial_trace_array, trace_distance_array
+from .core import DensityMatrix, pure_marginal_array, trace_distance_array
 from .errors import DegenerateGateSet, EmptyGateSet
 from .gates import GateSet
 
@@ -66,9 +64,8 @@ def _window_state(blocks, gates, line_qubits: int, keep: tuple[int, ...]) -> Den
     layer = Layer(tuple(blocks), tuple(gates))
     u = layer_unitary(layer, line_qubits)
     omega = choi_state(u, line_qubits)
-    rho = np.outer(omega.amplitudes, omega.amplitudes.conj())
     keep_wires = sorted(keep)
-    reduced = partial_trace_array(rho, keep_wires, 2 * line_qubits)
+    reduced = pure_marginal_array(omega.amplitudes, keep_wires, 2 * line_qubits)
     return DensityMatrix(len(keep_wires), reduced)
 
 

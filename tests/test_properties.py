@@ -3,12 +3,12 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from qverify.circuits import emit_circuit, parse_circuit, random_circuit
-from qverify.core import DensityMatrix, partial_trace, purity, trace_distance
+from qverify.circuits import choi_state, emit_circuit, parse_circuit, random_circuit
+from qverify.core import DensityMatrix, partial_trace, pure_marginal_array, purity, trace_distance
 from qverify.gates import standard_gate_set
 from qverify.tomography import project_to_physical, required_samples
 
-from conftest import brute_partial_trace, random_density, random_state_vec
+from conftest import brute_partial_trace, haar_unitary, random_density, random_state_vec
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -23,6 +23,30 @@ def test_partial_trace_agrees_with_brute_force(seed, n):
     keep = sorted(rng.choice(n, size=size, replace=False))
     got = partial_trace(DensityMatrix(n, rho), keep)
     assert np.allclose(got.entries, brute_partial_trace(rho, keep, n), atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, n=st.integers(1, 6))
+def test_pure_marginal_agrees_with_brute_force(seed, n):
+    rng = np.random.default_rng(seed)
+    v = random_state_vec(n, rng)
+    size = int(rng.integers(1, n + 1))
+    keep = sorted(rng.choice(n, size=size, replace=False).tolist())
+    got = pure_marginal_array(v, keep, n)
+    want = brute_partial_trace(np.outer(v, v.conj()), keep, n)
+    assert np.abs(got - want).max() < 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=seeds, n=st.integers(2, 4))
+def test_pure_marginal_of_choi_window_agrees_with_brute_force(seed, n):
+    rng = np.random.default_rng(seed)
+    v = choi_state(haar_unitary(1 << n, rng), n).amplitudes
+    i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
+    keep = [i, j, i + n, j + n]
+    got = pure_marginal_array(v, keep, 2 * n)
+    want = brute_partial_trace(np.outer(v, v.conj()), keep, 2 * n)
+    assert np.abs(got - want).max() < 1e-12
 
 
 @settings(max_examples=40, deadline=None)

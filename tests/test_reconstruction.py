@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from qverify.circuits import (
     compose_unitary,
     identity_circuit,
     layer_unitary,
+    random_circuit,
     same_circuit,
 )
 from qverify.core import (
@@ -221,6 +223,15 @@ class TestLearnSingle:
         )
         assert layer == c.layers[0]
 
+    def test_unknown_mode_rejected_before_device_work(self):
+        dev = device_for(circuit_of(2, L(("H", (0,)), ("H", (1,)))))
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidParameter):
+            learn_single(dev, 1, identity_circuit(2), 100, standard_gate_set(), 0.22, rng, mode="exakt")
+        assert rng.bit_generator.state == state
+        assert dev.ledger.layer_count == 0
+
     def test_warns_when_eps_at_resolution(self):
         c = circuit_of(2, L(("H", (0,)), ("H", (1,))))
         dev = device_for(c)
@@ -291,6 +302,30 @@ class TestLearnMulti:
             learn_multi(dev, 4000, standard_gate_set(), 0.22, rng, mode="hardwre")
         assert rng.bit_generator.state == state
         assert dev.ledger.layer_count == 0
+
+    @staticmethod
+    def _exact_run_peak(n: int, seed: int):
+        """learn_multi in strict-exact mode on a random d=3 circuit, traced."""
+        c = random_circuit(n, 3, standard_gate_set(), seed)
+        dev = device_for(c)
+        tracemalloc.start()
+        try:
+            report = learn_multi(dev, 0, standard_gate_set(), 0.2, 1, mode="strict-exact")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return c, report, peak
+
+    def test_exact_mode_memory_stays_below_outer_product(self):
+        # the 4^6 x 4^6 outer product of the Choi vector alone is 268 MB
+        c, report, peak = self._exact_run_peak(6, 61)
+        assert same_circuit(report.circuit, c)
+        assert peak < 16 * 2**20
+
+    def test_exact_mode_runs_at_eight_qubits(self):
+        c, report, peak = self._exact_run_peak(8, 81)
+        assert same_circuit(report.circuit, c)
+        assert peak < 32 * 2**20
 
     def test_shot_mode_reconstructs_demo(self):
         c = demo_circuit(1)
