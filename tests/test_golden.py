@@ -1,13 +1,17 @@
-"""Golden digests of seeded device output.
+"""Golden digests of seeded device output and of the window estimates.
 
-The digests pin the exact records, outcomes and device time that a seed
-produces, so any change to the shot path that alters the order of random
+The record digests pin the exact records, outcomes and device time that a
+seed produces, so any change to the shot path that alters the order of random
 draws, the sampling rule or the setting order shows up here. They were
-computed from the per-setting device loop that the batched path replaced,
-and must not be regenerated to make a change pass.
+computed from the per-setting device loop that the batched path replaced.
+The estimate digests pin every window matrix, compatible-shot count and
+low-count list estimated from those records; they were computed from the
+per-string coefficient loop that the single contraction replaced. No digest
+may be regenerated to make a change pass.
 """
 
 import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -18,10 +22,20 @@ from qverify.circuits import Layer, LayeredCircuit, random_circuit
 from qverify.device import Device, DeviceProfile, NoiseConfig
 from qverify.gates import builtin_gate, standard_gate_set
 from qverify.reconstruction import _dedicated_record_set, _shot_record_set
+from qverify.tomography import estimate_window, pair_windows
 
 
 def _digest(rs) -> str:
     return hashlib.sha256(rs.bases.tobytes() + rs.outcomes.tobytes()).hexdigest()
+
+
+def _estimate_digest(estimates) -> str:
+    h = hashlib.sha256()
+    for est in estimates:
+        h.update(est.matrix.entries.tobytes())
+        compat = [list(est.compat_counts.items()), list(est.low_count_strings)]
+        h.update(json.dumps(compat).encode())
+    return h.hexdigest()
 
 
 def _strict_device(n: int, circuit_seed: int) -> tuple[Device, LayeredCircuit]:
@@ -61,6 +75,25 @@ def test_shot_record_set_digest(case):
     assert (_digest(rs), dev.ledger.layer_count) == STRICT_CASES[case]
 
 
+# (n, k, shots, seed) of STRICT_CASES -> digest of every pair window's estimate
+STRICT_ESTIMATES = {
+    (2, 1, 3000, 11): "c57dc84eb84c75872085c34b5dff0083b9f80e9a3e9d7b87dd5efd05692877b1",
+    (3, 2, 4000, 12): "6219041544ee9d0427f57ea33b7121eb7d4037e0988c768654c2f115a1035cc4",
+    (4, 3, 2500, 13): "3b7466e93ad89e597dde9ec281bac04df25e7216d0ecc949f4dc544dfd1ba617",
+    (6, 2, 1500, 14): "86285f2daeacff1a48741330257fc24d33e149bf205001d0077722e62c81eff9",
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRICT_ESTIMATES))
+def test_pair_window_estimate_digest(case):
+    n, k, shots, seed = case
+    dev, c = _strict_device(n, 100 + seed)
+    prefix = LayeredCircuit(n, c.layers[: k - 1]).inverse()
+    rs = _shot_record_set(dev, k, prefix, shots, np.random.default_rng(seed))
+    estimates = [estimate_window(rs, subset) for subset in pair_windows(n)]
+    assert _estimate_digest(estimates) == STRICT_ESTIMATES[case]
+
+
 # (p, with undo) -> (digest, ledger layer_count)
 DEDICATED_CASES = {
     (0.0, False): (
@@ -91,3 +124,24 @@ def test_dedicated_record_set_digest(case):
     undo = Layer(((0, 1),), (builtin_gate("CNOT"),)) if with_undo else None
     rs = _dedicated_record_set(dev, 2, prefix, 300, np.random.default_rng(21), undo=undo)
     assert (_digest(rs), dev.ledger.layer_count) == DEDICATED_CASES[case]
+
+
+# (p, with undo) of DEDICATED_CASES -> digest of the (q, q + n) register windows
+DEDICATED_ESTIMATES = {
+    (0.0, False): "ff4941d5f6d2ab4893fbf2577e09e5752db0dca76933347cd8aed75a30b8f088",
+    (0.0, True): "8009a2b3da4ee3561a9cdcb75a30b2f09cff37d0477c812aa0eacf217fc9e286",
+    (0.002, False): "a163eac5b40f955fb9da66a34fa52d0f081b0f35e12c31dd77dcc10fafcbff34",
+    (0.002, True): "c53513e49e199e0d5199614e202af89c650b041c9738ccc0c74e161c3d13160f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEDICATED_ESTIMATES))
+def test_register_window_estimate_digest(case):
+    p, with_undo = case
+    c = demo_circuit(2)
+    dev = Device(DeviceProfile(2, c.depth, Fraction(1), c), NoiseConfig(depolarizing_p=p))
+    prefix = LayeredCircuit(2, c.layers[:1]).inverse()
+    undo = Layer(((0, 1),), (builtin_gate("CNOT"),)) if with_undo else None
+    rs = _dedicated_record_set(dev, 2, prefix, 300, np.random.default_rng(21), undo=undo)
+    estimates = [estimate_window(rs, (q, q + 2)) for q in range(2)]
+    assert _estimate_digest(estimates) == DEDICATED_ESTIMATES[case]
