@@ -40,7 +40,7 @@ from .circuits import (
 )
 from .core import AXES, PauliBasis, StateVec, _rotated_probabilities, relative_fidelity_array
 from .device import Device, DeviceProfile, NoiseConfig
-from .errors import DegenerateGateSet, QVerifyError, ReconstructionError
+from .errors import DegenerateGateSet, InvalidParameter, QVerifyError, ReconstructionError
 from .gates import GateSet, qft_gate_set, standard_gate_set
 from .reconstruction import learn_multi
 from .resolution import (
@@ -50,13 +50,7 @@ from .resolution import (
     raw_class_counts,
 )
 from .rng import stream
-from .tomography import (
-    WindowEstimator,
-    estimate_from,
-    perturb_matrix,
-    project_to_physical,
-    required_samples,
-)
+from .tomography import estimate_from, perturb_matrix, project_to_physical, required_samples
 
 EXIT_OK = 0
 EXIT_RECONSTRUCTION = 1
@@ -141,31 +135,30 @@ def cmd_reconstruct(args) -> int:
             ),
         )
         t = Fraction(args.t if args.t is not None else str(doc.get("t", 1)))
+        mode = args.mode if not args.exact else "strict-exact"
+        if mode == "hardware" and circuit.n != 2:
+            raise ValueError(f"hardware mode needs a 2-qubit circuit, got n={circuit.n}")
+        device = Device(DeviceProfile(circuit.n, circuit.depth, t, circuit), noise)
+        if mode == "strict":
+            bound = required_samples(
+                4, max(circuit.n, 2), max(circuit.depth, 1), args.eps, args.delta
+            )
     except (OSError, ValueError, QVerifyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    mode = args.mode if not args.exact else "strict-exact"
-    if mode == "hardware" and circuit.n != 2:
-        print(
-            f"configuration error: hardware mode needs a 2-qubit circuit, got n={circuit.n}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
     seed = _default_seed(args.seed)
-    device = Device(DeviceProfile(circuit.n, circuit.depth, t, circuit), noise)
-    if mode == "strict":
-        bound = required_samples(
-            4, max(circuit.n, 2), max(circuit.depth, 1), args.eps, args.delta
+    if mode == "strict" and 0 < args.shots < bound:
+        print(
+            f"note: {args.shots} shots per layer is a desk-scale run; the "
+            f"eps={args.eps}, delta={args.delta} guarantee asks for {bound}"
         )
-        if args.shots < bound:
-            print(
-                f"note: {args.shots} shots per layer is a desk-scale run; the "
-                f"eps={args.eps}, delta={args.delta} guarantee asks for {bound}"
-            )
     try:
         report = learn_multi(
             device, args.shots, gs, args.eps, stream(seed), mode=mode
         )
+    except InvalidParameter as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ReconstructionError as exc:
         print(f"reconstruction failed: {exc}", file=sys.stderr)
         return EXIT_RECONSTRUCTION
@@ -226,8 +219,12 @@ def cmd_sweep_samples(args) -> int:
         shots_list = [int(x) for x in args.shots_list.split(",")]
         if not shots_list or shots_list != sorted(shots_list):
             raise ValueError("shots list must be nonempty ascending")
+        if shots_list[0] < 1:
+            raise ValueError("every shot level must be at least 1")
         if args.n < 2:
             raise ValueError("need at least two qubits")
+        if args.seeds < 1:
+            raise ValueError("seeds must be positive")
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -251,8 +248,7 @@ def cmd_sweep_samples(args) -> int:
             counts = _sample_setting_counts(probs, N, rng)
             for m in window_sizes:
                 for subset in combinations(range(n), m):
-                    sub_counts = _marginal_counts(counts, subset, n)
-                    est = estimate_from(WindowEstimator.from_counts(sub_counts, subset))
+                    est = estimate_from(_marginal_counts(counts, subset, n), subset)
                     proj = project_to_physical(est)
                     fidelities[(m, N)].append(
                         relative_fidelity_array(proj.entries, ideal[subset])
@@ -346,6 +342,8 @@ def cmd_sweep_noise(args) -> int:
             raise ValueError("gammas must lie in [0, 5]")
         if args.depths < 1:
             raise ValueError("depths must be positive")
+        if args.seeds < 1:
+            raise ValueError("seeds must be positive")
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -635,10 +635,16 @@ def learn_multi(
     oracle), or "hardware" (dedicated settings, purity detection, residual
     search); any other mode raises InvalidParameter before the device runs.
     ``shots`` counts shots per layer in strict mode and shots per setting per
-    round in hardware mode.
+    round in hardware mode; strict-exact ignores it. ``shots < 1`` where shots
+    are drawn, or ``eps <= 0`` where it is the matching tolerance, also raises
+    InvalidParameter before the device runs.
     """
     if mode not in ("strict", "strict-exact", "hardware"):
         raise InvalidParameter(f"unknown mode {mode!r}: use strict, strict-exact or hardware")
+    if mode in ("strict", "hardware") and shots < 1:
+        raise InvalidParameter(f"shots={shots} must be at least 1 in {mode} mode")
+    if mode in ("strict", "strict-exact") and not eps > 0:
+        raise InvalidParameter(f"eps={eps} must be positive in {mode} mode")
     if mode in ("strict", "strict-exact"):
         _warn_eps(gs, eps)
     seed_based = not isinstance(rng, np.random.Generator)

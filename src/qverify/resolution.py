@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .circuits import Layer, choi_state, layer_unitary
 from .core import DensityMatrix, pure_marginal_array, trace_distance_array
 from .errors import DegenerateGateSet, EmptyGateSet
@@ -118,6 +120,10 @@ def enumerate_config_classes(gs: GateSet) -> list[ConfigElement]:
     merged: list[ConfigElement] = []
     for prov, state in _raw_elements(gs):
         for elem in merged:
+            # half the Frobenius norm bounds the trace distance from below, so
+            # a pair it already puts at MERGE_TOL or beyond needs no eigvalsh
+            if 0.5 * np.linalg.norm(elem.state.entries - state.entries) >= MERGE_TOL:
+                continue
             if trace_distance_array(elem.state.entries, state.entries) < MERGE_TOL:
                 elem.provenance.append(prov)
                 break
@@ -155,12 +161,7 @@ def gate_set_resolution(gs: GateSet, elements: list[ConfigElement] | None = None
         raise DegenerateGateSet(f"indistinguishable configurations: {details}")
     if len(elements) < 2:
         return math.inf
-    best = math.inf
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            d = trace_distance_array(elements[i].state.entries, elements[j].state.entries)
-            best = min(best, d)
-    return 0.5 * best
+    return 0.5 * closest_pair(elements)[2]
 
 
 @lru_cache(maxsize=16)

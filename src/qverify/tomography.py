@@ -7,6 +7,14 @@ the shots whose bases agree with the string at every non-identity position, of
 the product of outcomes at those positions. Each shot therefore contributes to
 every compatible window simultaneously; no per-window resampling happens.
 
+A window's shots are first binned into (setting, outcome) cell counts, a
+(3^m, 2^m) matrix. All 4^m coefficients then come from one contraction of
+those counts, one wire at a time, with a constant (letter, axis, bit) table of
++1, -1 and 0, and the compatible-shot counts from the same contraction with
+the table's absolute value. Counts are integers and table entries are +1, -1
+or 0, so every sum is exact in float64 and each coefficient is one division,
+whatever the order of summation.
+
 Estimates are reconstructed by linear inversion,
 ``rho = 2^-m * sum_Q c_Q * (tensor Q)``, with the identity coefficient pinned
 at 1 so the trace is exactly one. Raw estimates are Hermitian but can fail
@@ -20,6 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import product
 
 import numpy as np
 
@@ -27,7 +36,6 @@ from .core import DensityMatrix, PAULIS
 from .errors import InvalidParameter, WindowSizeMismatch
 from .rng import ensure_rng
 
-AXIS_CODE = {"X": 0, "Y": 1, "Z": 2}
 PAULI_LETTERS = "IXYZ"
 
 LOW_COMPAT_THRESHOLD = 30
@@ -107,112 +115,85 @@ class RecordSet:
 
 # -- Pauli coefficient estimation ---------------------------------------------
 
+# Letter (I, X, Y, Z) x setting axis (X, Y, Z) x outcome bit (0 for +1, 1 for
+# -1): the factor one wire contributes to a Pauli string's outcome product, or
+# 0 where the wire's axis is incompatible with the letter.
+_SIGNS = np.zeros((4, 3, 2))
+_SIGNS[0] = 1.0
+_SIGNS[[1, 2, 3], [0, 1, 2]] = (1.0, -1.0)
+_COMPATIBLE = np.abs(_SIGNS)
+
 
 @lru_cache(maxsize=8)
-def _setting_digits(m: int) -> np.ndarray:
-    """(3^m, m) table of axis codes for every joint setting."""
-    grids = np.indices([3] * m).reshape(m, -1).T
-    return np.ascontiguousarray(grids, dtype=np.int8)
-
-
-@lru_cache(maxsize=8)
-def _outcome_signs(m: int) -> np.ndarray:
-    """(2^m, m) table of +1/-1 outcomes for every joint result."""
-    bits = np.indices([2] * m).reshape(m, -1).T
-    return np.ascontiguousarray(1 - 2 * bits, dtype=np.int8)
+def _pauli_strings(m: int) -> tuple[str, ...]:
+    """All 4^m strings over IXYZ in base-4 digit order, wire 0 most significant."""
+    return tuple("".join(p) for p in product(PAULI_LETTERS, repeat=m))
 
 
 @lru_cache(maxsize=8)
 def _pauli_tensors(m: int) -> np.ndarray:
     """(4^m, 2^m, 2^m) tensor-product Pauli basis, base-4 digit order."""
     out = np.empty((4**m, 1 << m, 1 << m), dtype=complex)
-    for code in range(4**m):
-        letters = _code_to_string(code, m)
+    for code, letters in enumerate(_pauli_strings(m)):
         out[code] = reduce(np.kron, (PAULIS[c] for c in letters))
     return out
 
 
-def _code_to_string(code: int, m: int) -> str:
-    digits = []
-    for _ in range(m):
-        digits.append(PAULI_LETTERS[code % 4])
-        code //= 4
-    return "".join(reversed(digits))
+def cell_counts(rs: RecordSet, subset: tuple[int, ...]) -> np.ndarray:
+    """(3^m, 2^m) shot counts per (setting, outcome) cell on the subset wires.
 
-
-def _string_to_support(pauli: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    support = tuple(i for i, c in enumerate(pauli) if c != "I")
-    axes = tuple(AXIS_CODE[pauli[i]] for i in support)
-    return support, axes
-
-
-class WindowEstimator:
-    """Sufficient statistics of a record set restricted to one wire subset.
-
-    Shots are binned by their (setting, outcome) cell on the subset wires, so
-    each coefficient costs O(6^m) independent of the number of shots.
+    Rows index the joint setting, columns the joint outcome bits (0 for +1),
+    both with the first subset wire as the most significant digit.
     """
+    subset = tuple(int(w) for w in subset)
+    if len(set(subset)) != len(subset):
+        raise InvalidParameter(f"repeated wire in subset {subset}")
+    if any(w < 0 or w >= rs.wires for w in subset):
+        raise InvalidParameter(f"subset {subset} outside the {rs.wires} wires")
+    m = len(subset)
+    cells = np.zeros(len(rs), dtype=np.int64)
+    for w in subset:
+        cells = cells * 3 + rs.bases[:, w]
+    for w in subset:
+        cells = cells * 2 + (rs.outcomes[:, w] < 0)
+    return np.bincount(cells, minlength=6**m).reshape(3**m, 1 << m)
 
-    def __init__(self, rs: RecordSet, subset: tuple[int, ...]):
-        subset = tuple(int(w) for w in subset)
-        if len(set(subset)) != len(subset):
-            raise InvalidParameter(f"repeated wire in subset {subset}")
-        if any(w < 0 or w >= rs.wires for w in subset):
-            raise InvalidParameter(f"subset {subset} outside the {rs.wires} wires")
-        self.subset = subset
-        self.m = len(subset)
-        self.total = len(rs)
-        sub_bases = rs.bases[:, subset].astype(np.int64)
-        sub_bits = ((1 - rs.outcomes[:, subset].astype(np.int64)) // 2)
-        setting = np.zeros(len(rs), dtype=np.int64)
-        outcome = np.zeros(len(rs), dtype=np.int64)
-        for j in range(self.m):
-            setting = setting * 3 + sub_bases[:, j]
-            outcome = outcome * 2 + sub_bits[:, j]
-        cells = setting * (1 << self.m) + outcome
-        counts = np.bincount(cells, minlength=3**self.m * (1 << self.m))
-        self.counts = counts.reshape(3**self.m, 1 << self.m).astype(np.float64)
 
-    @classmethod
-    def from_counts(cls, counts: np.ndarray, subset: tuple[int, ...]) -> "WindowEstimator":
-        """Build directly from a (3^m, 2^m) cell-count matrix."""
-        self = cls.__new__(cls)
-        self.subset = tuple(subset)
-        self.m = len(subset)
-        self.counts = np.asarray(counts, dtype=np.float64)
-        if self.counts.shape != (3**self.m, 1 << self.m):
-            raise InvalidParameter(
-                f"counts shape {self.counts.shape} does not fit m={self.m}"
-            )
-        self.total = int(round(self.counts.sum()))
-        return self
+def _coefficients(counts: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every Pauli coefficient and compatible-shot count of one window.
 
-    def coefficient(self, pauli: str) -> tuple[float, int]:
-        if len(pauli) != self.m:
-            raise WindowSizeMismatch(
-                f"string {pauli!r} does not fit a {self.m}-wire window"
-            )
-        support, axes = _string_to_support(pauli)
-        if not support:
-            return 1.0, self.total
-        digits = _setting_digits(self.m)
-        compatible = np.ones(digits.shape[0], dtype=bool)
-        for pos, axis in zip(support, axes):
-            compatible &= digits[:, pos] == axis
-        signs = _outcome_signs(self.m)
-        prods = signs[:, support].prod(axis=1).astype(np.float64)
-        pool = self.counts[compatible]
-        n_compat = int(pool.sum())
-        if n_compat == 0:
-            return 0.0, 0
-        return float((pool @ prods).sum()) / n_compat, n_compat
+    Contracts the counts, viewed as a [3]*m + [2]*m tensor, wire by wire with
+    the sign table and with its absolute value. Both results come out in
+    base-4 digit order. Every term is an integer count times +1, -1 or 0, so
+    each sum is exact in float64 and each coefficient is one division.
+    """
+    counts = np.asarray(counts)
+    if counts.shape != (3**m, 1 << m):
+        raise InvalidParameter(f"counts shape {counts.shape} does not fit m={m}")
+    sums = compat = counts.reshape([3] * m + [2] * m).astype(np.float64)
+    for j in range(m):
+        # the setting axis of wire j is axis 0, its outcome axis m - j
+        sums = np.tensordot(sums, _SIGNS, axes=([0, m - j], [1, 2]))
+        compat = np.tensordot(compat, _COMPATIBLE, axes=([0, m - j], [1, 2]))
+    sums, compat = sums.reshape(-1), compat.reshape(-1)
+    coeffs = np.divide(sums, compat, out=np.zeros(4**m), where=compat > 0)
+    coeffs[0] = 1.0
+    return coeffs, compat.astype(np.int64)
 
 
 def estimate_pauli_coefficient(
     rs: RecordSet, subset: tuple[int, ...], pauli: str
 ) -> tuple[float, int]:
     """Mean outcome product over compatible shots; (0, 0) when none exist."""
-    return WindowEstimator(rs, subset).coefficient(pauli)
+    if len(pauli) != len(subset):
+        raise WindowSizeMismatch(
+            f"string {pauli!r} does not fit a {len(subset)}-wire window"
+        )
+    if any(c not in PAULI_LETTERS for c in pauli):
+        raise InvalidParameter(f"string {pauli!r} has letters outside {PAULI_LETTERS}")
+    coeffs, compat = _coefficients(cell_counts(rs, subset), len(pauli))
+    code = _pauli_strings(len(pauli)).index(pauli)
+    return float(coeffs[code]), int(compat[code])
 
 
 @dataclass(frozen=True)
@@ -230,28 +211,31 @@ class RdmEstimate:
 
 
 def estimate_window(rs: RecordSet, subset: tuple[int, ...]) -> RdmEstimate:
-    return estimate_from(WindowEstimator(rs, subset))
+    return estimate_from(cell_counts(rs, subset), subset)
 
 
-def estimate_from(est: WindowEstimator) -> RdmEstimate:
-    """Linear-inversion reconstruction from prepared sufficient statistics."""
-    m = est.m
-    coeffs = np.empty(4**m)
-    compat: dict[str, int] = {}
-    low: list[str] = []
-    for code in range(4**m):
-        pauli = _code_to_string(code, m)
-        value, n_compat = est.coefficient(pauli)
-        coeffs[code] = value
-        compat[pauli] = n_compat
-        if n_compat < LOW_COMPAT_THRESHOLD:
-            low.append(pauli)
+def estimate_from(counts: np.ndarray, subset: tuple[int, ...]) -> RdmEstimate:
+    """Linear-inversion reconstruction from (3^m, 2^m) cell counts.
+
+    All 4^m coefficients and compatible-shot counts come from one contraction
+    of the counts with a per-wire table of +1, -1 and 0 (see
+    :func:`_coefficients`). The sums of integer counts times those entries are
+    exact in float64, so each coefficient is one division and does not depend
+    on the order of summation. A string with no compatible shot gets
+    coefficient 0; the identity's is pinned at 1.
+    """
+    subset = tuple(int(w) for w in subset)
+    m = len(subset)
+    coeffs, compat = _coefficients(counts, m)
+    strings = _pauli_strings(m)
     matrix = np.einsum("q,qij->ij", coeffs, _pauli_tensors(m)) / (1 << m)
     return RdmEstimate(
-        subset=tuple(est.subset),
+        subset=subset,
         matrix=DensityMatrix(m, matrix),
-        compat_counts=compat,
-        low_count_strings=tuple(low),
+        compat_counts=dict(zip(strings, compat.tolist())),
+        low_count_strings=tuple(
+            strings[i] for i in np.flatnonzero(compat < LOW_COMPAT_THRESHOLD)
+        ),
     )
 
 

@@ -133,6 +133,39 @@ class TestReconstructCommand:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--shots", "0"],
+            ["--mode", "strict", "--shots", "-3"],
+            ["--mode", "strict", "--eps", "0"],
+            ["--mode", "strict", "--delta", "2"],
+            ["--exact", "--eps", "0"],
+            ["--t", "0"],
+        ],
+        ids=["hardware-shots-0", "strict-shots-neg", "strict-eps-0", "strict-delta-2",
+             "exact-eps-0", "t-0"],
+    )
+    def test_bad_parameters_are_config_errors(self, tmp_path, demo_file, capsys, flags):
+        out = tmp_path / "out"
+        rc = run(["reconstruct", "--circuit", str(demo_file), "--out", str(out)] + flags)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("configuration error: ")
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    def test_exact_mode_ignores_shots(self, tmp_path, demo_file):
+        out = tmp_path / "out"
+        rc = run([
+            "reconstruct", "--circuit", str(demo_file), "--mode", "strict", "--exact",
+            "--shots", "0", "--eps", "0.22", "--seed", "3", "--out", str(out),
+        ])
+        assert rc == 0
+        assert same_circuit(
+            parse_circuit((out / "reconstructed_circuit.json").read_text()), demo_circuit(1)
+        )
+
     def test_gamma_flag_is_gone(self, tmp_path, demo_file):
         with pytest.raises(SystemExit) as exit_:
             run([
@@ -193,6 +226,25 @@ class TestSweepCommands:
             "sweep-samples", "--shots-list", "1000,100", "--out", str(tmp_path),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--seeds", "0"], ["--shots-list", "-5"], ["--shots-list", "0,100"]],
+        ids=["seeds-0", "shots-neg", "shots-0"],
+    )
+    def test_sweep_samples_rejects_bad_counts(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        rc = run(["sweep-samples", "--n", "2", "--out", str(out)] + flags)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not out.exists()
+
+    def test_sweep_noise_rejects_zero_seeds(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = run(["sweep-noise", "--seeds", "0", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not out.exists()
 
     def test_sweep_noise_schema_and_trends(self, tmp_path):
         rc = run([

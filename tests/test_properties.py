@@ -1,12 +1,21 @@
 """Property-based checks over randomly drawn inputs."""
 
+from itertools import product
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from qverify.circuits import choi_state, emit_circuit, parse_circuit, random_circuit
 from qverify.core import DensityMatrix, partial_trace, pure_marginal_array, purity, trace_distance
 from qverify.gates import standard_gate_set
-from qverify.tomography import project_to_physical, required_samples
+from qverify.tomography import (
+    RecordSet,
+    cell_counts,
+    estimate_from,
+    estimate_pauli_coefficient,
+    project_to_physical,
+    required_samples,
+)
 
 from conftest import brute_partial_trace, haar_unitary, random_density, random_state_vec
 
@@ -92,3 +101,43 @@ def test_required_samples_monotonicity(eps, delta, n, d):
 def test_circuit_round_trip(seed, n, d):
     circuit = random_circuit(n, d, standard_gate_set(), seed)
     assert parse_circuit(emit_circuit(circuit)) == circuit
+
+
+def _reference_coefficient(counts: np.ndarray, pauli: str) -> tuple[float, int]:
+    """Mean outcome product over the compatible cells, one string at a time."""
+    m = len(pauli)
+    total, n_compat = 0, 0
+    for s, axes in enumerate(product("XYZ", repeat=m)):
+        if any(c not in ("I", a) for c, a in zip(pauli, axes)):
+            continue
+        for o, signs in enumerate(product((1, -1), repeat=m)):
+            sign = int(np.prod([b for c, b in zip(pauli, signs) if c != "I"]))
+            total += sign * int(counts[s, o])
+            n_compat += int(counts[s, o])
+    if set(pauli) == {"I"}:
+        return 1.0, n_compat
+    return (total / n_compat if n_compat else 0.0), n_compat
+
+
+@settings(max_examples=24, deadline=None)
+@given(seed=seeds, m=st.integers(1, 4), high=st.integers(1, 6))
+def test_window_coefficients_match_per_string_reference(seed, m, high):
+    rng = np.random.default_rng(seed)
+    # sparse counts, so some strings have no compatible shot at all
+    counts = rng.integers(0, high + 1, size=(3**m, 1 << m))
+    counts *= rng.random(counts.shape) < 0.3
+    # records on the wires of a random m-subset of 2n = 4 wires, in that order
+    subset = tuple(int(w) for w in rng.permutation(4)[:m])
+    settings_, outcomes = np.divmod(np.repeat(np.arange(counts.size), counts.ravel()), 1 << m)
+    bases = np.zeros((len(settings_), 4), dtype=np.int8)
+    outs = np.ones((len(settings_), 4), dtype=np.int8)
+    for j, w in enumerate(subset):
+        bases[:, w] = settings_ // 3 ** (m - 1 - j) % 3
+        outs[:, w] = 1 - 2 * (outcomes >> (m - 1 - j) & 1)
+    rs = RecordSet(2, bases, outs)
+    assert np.array_equal(cell_counts(rs, subset), counts)
+    est = estimate_from(counts, subset)
+    for pauli in ("".join(p) for p in product("IXYZ", repeat=m)):
+        want = _reference_coefficient(counts, pauli)
+        assert estimate_pauli_coefficient(rs, subset, pauli) == want
+        assert est.compat_counts[pauli] == want[1]

@@ -303,6 +303,26 @@ class TestLearnMulti:
         assert rng.bit_generator.state == state
         assert dev.ledger.layer_count == 0
 
+    @pytest.mark.parametrize(
+        "mode, shots, eps",
+        [
+            ("strict", 0, 0.22),
+            ("strict", -3, 0.22),
+            ("hardware", 0, 0.22),
+            ("strict", 4000, 0.0),
+            ("strict-exact", 0, -0.1),
+        ],
+    )
+    def test_bad_shots_or_eps_rejected_before_device_work(self, mode, shots, eps):
+        dev = device_for(demo_circuit(1))
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidParameter):
+            learn_multi(dev, shots, standard_gate_set(), eps, rng, mode=mode)
+        assert rng.bit_generator.state == state
+        assert dev.ledger.layer_count == 0
+        assert dev.ledger.per_shot_layers == {}
+
     @staticmethod
     def _exact_run_peak(n: int, seed: int):
         """learn_multi in strict-exact mode on a random d=3 circuit, traced."""

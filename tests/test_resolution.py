@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 
 from qverify.core import trace_distance
 from qverify.errors import DegenerateGateSet
-from qverify.gates import Gate, GateSet, builtin_gate, standard_gate_set
+from qverify.gates import Gate, GateSet, builtin_gate, qft_gate_set, standard_gate_set
 from qverify.resolution import (
     closest_pair,
     enumerate_config_classes,
@@ -93,6 +95,24 @@ class TestEnumeration:
         for marginal in (control_marg, target_marg):
             want = interleave(marginal, choi_h)
             assert any(np.allclose(got, want, atol=1e-10) for got in c4_h)
+
+
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (standard_gate_set, "8cac42a7618d8ca0e2b1c854fcc1dad84805b32129c4c217c3cc634f23991a3b"),
+            (qft_gate_set, "3c53452275a3d9915b64257e8f87b52804f74f158c1f991ba58373f9c6fbf8b2"),
+        ],
+    )
+    def test_merged_elements_frozen(self, make, digest):
+        """Element count, order and every provenance, as the eigvalsh-only merge made them."""
+        elements = enumerate_config_classes(make())
+        assert len(elements) == 51
+        doc = [
+            [e.class_id, [[p.class_id, list(p.gates), p.detail] for p in e.provenance]]
+            for e in elements
+        ]
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
 
 
 class TestResolution:

@@ -15,7 +15,8 @@ from qverify.gates import standard_gate_set
 from qverify.reconstruction import _shot_record_set, prep_state
 from qverify.tomography import (
     RecordSet,
-    WindowEstimator,
+    cell_counts,
+    estimate_from,
     estimate_pauli_coefficient,
     estimate_window,
     pair_windows,
@@ -197,7 +198,32 @@ class TestCoefficientEstimation:
     def test_window_size_checked(self):
         rs = bell_record_set()
         with pytest.raises(WindowSizeMismatch):
-            WindowEstimator(rs, (0, 1)).coefficient("XXX")
+            estimate_pauli_coefficient(rs, (0, 1), "XXX")
+
+    def test_unknown_letter_rejected(self):
+        rs = bell_record_set()
+        with pytest.raises(InvalidParameter):
+            estimate_pauli_coefficient(rs, (0, 1), "XA")
+
+    def test_subset_checked(self):
+        rs = bell_record_set()
+        for subset in ((0, 0), (0, 2), (-1, 1)):
+            with pytest.raises(InvalidParameter):
+                cell_counts(rs, subset)
+
+    def test_counts_shape_checked(self):
+        with pytest.raises(InvalidParameter):
+            estimate_from(np.ones((9, 2), dtype=np.int64), (0, 1))
+
+    def test_point_query_reads_the_window_estimate(self):
+        rs = bell_record_set()
+        est = estimate_window(rs, (0, 1))
+        for pauli, n_compat in est.compat_counts.items():
+            value, got = estimate_pauli_coefficient(rs, (0, 1), pauli)
+            assert got == n_compat
+            # linear inversion puts tr(rho Q) back at each coefficient
+            back = np.trace(est.matrix.entries @ np.kron(PAULI[pauli[0]], PAULI[pauli[1]]))
+            assert abs(back.real - value) < 1e-12
 
 
 class TestPauliTomo:
