@@ -136,12 +136,20 @@ def cmd_reconstruct(args) -> int:
         )
         t = Fraction(args.t if args.t is not None else str(doc.get("t", 1)))
         mode = args.mode if not args.exact else "strict-exact"
+        # a flag the mode never reads is refused; the ones it reads get defaults
+        ignored = {"hardware": ("eps", "delta"), "strict-exact": ("delta",)}.get(mode, ())
+        given = [f"--{name}" for name in ignored if getattr(args, name) is not None]
+        if given:
+            where = "hardware mode" if mode == "hardware" else "--exact"
+            raise ValueError(f"no effect with {where}: {' '.join(given)}")
+        eps = None if mode == "hardware" else 0.2 if args.eps is None else args.eps
+        delta = 0.05 if args.delta is None else args.delta
         if mode == "hardware" and circuit.n != 2:
             raise ValueError(f"hardware mode needs a 2-qubit circuit, got n={circuit.n}")
         device = Device(DeviceProfile(circuit.n, circuit.depth, t, circuit), noise)
         if mode == "strict":
             bound = required_samples(
-                4, max(circuit.n, 2), max(circuit.depth, 1), args.eps, args.delta
+                4, max(circuit.n, 2), max(circuit.depth, 1), eps, delta
             )
     except (OSError, ValueError, QVerifyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -150,12 +158,10 @@ def cmd_reconstruct(args) -> int:
     if mode == "strict" and 0 < args.shots < bound:
         print(
             f"note: {args.shots} shots per layer is a desk-scale run; the "
-            f"eps={args.eps}, delta={args.delta} guarantee asks for {bound}"
+            f"eps={eps}, delta={delta} guarantee asks for {bound}"
         )
     try:
-        report = learn_multi(
-            device, args.shots, gs, args.eps, stream(seed), mode=mode
-        )
+        report = learn_multi(device, args.shots, gs, eps, stream(seed), mode=mode)
     except InvalidParameter as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -440,8 +446,8 @@ def main(argv=None) -> int:
     p.add_argument("--circuit", required=True)
     p.add_argument("--gateset", default="standard")
     p.add_argument("--shots", type=int, default=8192)
-    p.add_argument("--eps", type=float, default=0.2)
-    p.add_argument("--delta", type=float, default=0.05)
+    p.add_argument("--eps", type=float, default=None, help="strict modes only (default 0.2)")
+    p.add_argument("--delta", type=float, default=None, help="strict mode only (default 0.05)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--mode", choices=["strict", "hardware"], default="hardware")
     p.add_argument("--exact", action="store_true", help="infinite-shot oracle estimator")

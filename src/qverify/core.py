@@ -44,13 +44,6 @@ AXIS_ROTATIONS = {"X": _H, "Y": _H @ _SDG, "Z": np.eye(2, dtype=complex)}
 AXES = ("X", "Y", "Z")
 
 
-def _require_power_of_two(length: int) -> int:
-    n = int(length).bit_length() - 1
-    if length != (1 << n):
-        raise DimensionMismatch(f"vector length {length} is not a power of two")
-    return n
-
-
 def is_unitary(u: np.ndarray, atol: float = ATOL) -> bool:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:

@@ -1,15 +1,19 @@
 """Black-box simulation of a layered interruptible quantum device.
 
 A :class:`Device` hides its circuit behind a query interface of two methods.
-:meth:`Device.execute_settings` runs shot settings (state preparation gates
-and a measurement basis, each with a shot count) through an inverse-prefix
+:meth:`Device.execute_settings` runs shot settings through an inverse-prefix
 circuit and the hidden circuit interrupted at layer k, and returns outcomes;
 :meth:`Device.ideal_choi_state` is the infinite-shot oracle of the same query.
 Executed time grows by one unit ``t`` per layer actually run, so a shot with a
 j-layer prefix interrupted at layer k costs (j + k) * t.
 
-Each call builds the circuit unitary once and prepares, evolves, rotates and
-samples every setting's shots together (inverse CDF on one uniform draw).
+Settings arrive as one structured table (see :func:`settings_table`): per row,
+a preparation code 0-7 into :data:`PREP_SEQUENCES` and a readout-axis code
+0-2 (X, Y, Z) for every qubit, and a shot count. Each call builds the circuit
+unitary once, then prepares, evolves, rotates and samples the settings in
+fixed chunks of :data:`CHUNK_SETTINGS` rows (inverse CDF on one uniform draw
+per shot), so host memory stays at 2^n columns per chunk whatever the number
+of settings. Chunking does not change which uniform draw a shot reads.
 
 Depolarizing noise is simulated with stochastic pure-state trajectories: after
 each gate of the hidden circuit, every touched qubit independently suffers a
@@ -30,7 +34,6 @@ from .circuits import Layer, LayeredCircuit, choi_state, compose_unitary, layer_
 from .core import (
     AXES,
     AXIS_ROTATIONS,
-    PauliBasis,
     StateVec,
     apply_unitary_array,
     PAULI_X,
@@ -52,17 +55,30 @@ PREP_VECTORS = np.array(
      for names in PREP_SEQUENCES]
 )
 PREP_VECTORS.flags.writeable = False
-_PREP_CODE = {names: code for code, names in enumerate(PREP_SEQUENCES)}
 _READOUT = np.array([AXIS_ROTATIONS[axis] for axis in AXES])
 
+# Settings prepared, evolved and sampled together; bounds the host arrays of
+# one call at 2^n x CHUNK_SETTINGS amplitudes.
+CHUNK_SETTINGS = 4096
 
-def _check_prep(prep: tuple[tuple[str, ...], ...]) -> None:
-    for names in prep:
-        if names not in _PREP_CODE:
-            for g in names:
-                if g not in _PREP_GATES:
-                    raise InvalidRequest(f"prep gate {g!r} not in {{X, H, S}}")
-            raise InvalidRequest(f"prep gates {names} not in X, H, S order")
+SETTING_FIELDS = ("prep", "axes", "shots")
+
+
+def settings_table(prep, axes, shots) -> np.ndarray:
+    """Settings table for :meth:`Device.execute_settings`, one row per setting.
+
+    ``prep`` and ``axes`` are (settings, n) integer arrays of preparation codes
+    (rows of :data:`PREP_SEQUENCES`) and readout-axis codes (0=X, 1=Y, 2=Z);
+    ``shots`` holds each setting's shot count. Every field keeps the dtype of
+    its input, so the device validates the codes as given, never a cast.
+    """
+    columns = list(zip(SETTING_FIELDS, map(np.asarray, (prep, axes, shots))))
+    table = np.empty(
+        len(columns[2][1]), dtype=[(name, col.dtype, col.shape[1:]) for name, col in columns]
+    )
+    for name, col in columns:
+        table[name] = col
+    return table
 
 
 @dataclass(frozen=True)
@@ -154,24 +170,19 @@ class Device:
 
     def _setting_codes(self, settings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Validated (settings, n) prep and readout-axis codes, and shot counts."""
-        n = self.n
-        preps, bases, counts = zip(*settings) if settings else ((), (), ())
-        # a prep or basis shared by several settings is looked up once
-        prep_rows = {names: [_PREP_CODE.get(q) for q in names] for names in set(preps)}
-        axes_rows = {b.axes: [AXES.index(a) for a in b.axes] for b in bases}
-        for names, row in prep_rows.items():
-            if len(row) != n:
-                raise InvalidRequest(f"prep covers {len(row)} of {n} qubits")
-            if None in row:
-                _check_prep(names)
-        if any(len(row) != n for row in axes_rows.values()):
-            raise InvalidRequest("basis does not cover every qubit")
-        counts = np.array(counts, dtype=np.int64)
-        if (counts < 0).any():
+        dtype = getattr(settings, "dtype", None)
+        if getattr(dtype, "names", None) != SETTING_FIELDS or settings.ndim != 1:
+            raise InvalidRequest(f"settings must be a 1-D table with fields {SETTING_FIELDS}")
+        for name, shape in zip(SETTING_FIELDS, ((self.n,), (self.n,), ())):
+            if dtype[name].base.kind not in "iu" or dtype[name].shape != shape:
+                raise InvalidRequest(f"{name} must hold integers shaped {shape}, not {dtype[name]}")
+        prep, axes, counts = (settings[name].astype(np.int64) for name in SETTING_FIELDS)
+        for name, codes, radix in (("prep", prep, len(PREP_SEQUENCES)), ("axes", axes, len(AXES))):
+            if codes.size and (codes.min() < 0 or codes.max() >= radix):
+                raise InvalidRequest(f"{name} code outside 0..{radix - 1}")
+        if counts.size and counts.min() < 0:
             raise InvalidRequest(f"negative shot count {counts.min()}")
-        prep = np.array([prep_rows[names] for names in preps], dtype=np.intp)
-        axes = np.array([axes_rows[b.axes] for b in bases], dtype=np.intp)
-        return prep.reshape(-1, n), axes.reshape(-1, n), counts
+        return prep, axes, counts
 
     def _unitary(self, inverse_prefix: LayeredCircuit, k: int, undo: Layer | None = None):
         """The noiseless circuit ``[undo] . hidden[:k] . inverse_prefix``."""
@@ -184,43 +195,56 @@ class Device:
         self,
         inverse_prefix: LayeredCircuit,
         k: int,
-        settings: list[tuple[tuple, PauliBasis, int]],
+        settings: np.ndarray,
         rng,
         undo: Layer | None = None,
-    ) -> list[np.ndarray]:
-        """Run (prep, basis, shots) settings sharing prefix, ``k`` and undo, in one batch.
+    ) -> np.ndarray:
+        """Run a :func:`settings_table` of settings sharing prefix, ``k`` and undo.
 
-        Every setting is validated before any unitary, draw or ledger entry.
-        Returns per setting, in order, an int array of outcome indices (qubit 0
-        is the most significant bit; a 0 bit means +1). Draw order: one integer
-        from ``rng`` seeds the trajectory-noise stream, then ``rng.random(total)``
-        is read setting by setting (the stream of one ``rng.random(count)`` per
-        setting). Noise never draws from ``rng``, so a seed's measurement draws
-        are the same at every noise strength.
+        Every setting is validated before any unitary, draw or ledger entry:
+        the table's fields, its row width n, the code ranges and ``shots >= 0``.
+        Returns one flat int array of outcome indices, grouped by setting in
+        row order (qubit 0 is the most significant bit; a 0 bit means +1).
+        Draw order: one integer from ``rng`` seeds the trajectory-noise stream,
+        then ``rng.random(total)`` is read setting by setting (the stream of one
+        ``rng.random(count)`` per setting); settings are sampled in chunks of
+        :data:`CHUNK_SETTINGS` rows, each reading its slice of that draw.
+        Noise never draws from ``rng``, so a seed's measurement draws are the
+        same at every noise strength.
         """
         self._check_circuit(inverse_prefix, k, undo)
         prep, axes, counts = self._setting_codes(settings)
         rng = ensure_rng(rng)
         noise_rng = np.random.default_rng(int(rng.integers(2**63)))
         u01 = rng.random(int(counts.sum()))
-        starts = (np.cumsum(counts) - counts).tolist()
-        psi = _product_states(prep)
-        if self._noise.depolarizing_p == 0.0:
-            states = self._unitary(inverse_prefix, k, undo) @ psi
-            columns = np.repeat(np.arange(len(counts)), counts)
-        else:
-            psi = compose_unitary(inverse_prefix) @ psi
+        draws = np.empty(len(u01), dtype=np.int64)
+        noisy = self._noise.depolarizing_p != 0.0
+        if noisy:  # the hidden layers run per shot, as trajectories
+            u = compose_unitary(inverse_prefix)
             undo_u = None if undo is None else layer_unitary(undo, self.n)
-            states = np.repeat(psi, counts, axis=1)
-            for a, c in zip(starts, counts.tolist()):
-                states[:, a : a + c] = self._trajectories(
-                    states[:, a : a + c], k, undo_u, noise_rng
-                )
-            axes = np.repeat(axes, counts, axis=0)
-            columns = np.arange(len(u01))
-        draws = _sample(_rotate_to_z(states, axes), columns, u01)
+        else:
+            u = self._unitary(inverse_prefix, k, undo)
+        ends = np.cumsum(counts)
+        for a in range(0, len(counts), CHUNK_SETTINGS):
+            b = min(a + CHUNK_SETTINGS, len(counts))
+            lo, hi = ends[a] - counts[a], ends[b - 1]
+            states = u @ _product_states(prep[a:b])
+            chunk_axes, chunk_counts = axes[a:b], counts[a:b]
+            if noisy:
+                states = np.repeat(states, chunk_counts, axis=1)
+                start = 0
+                for c in chunk_counts.tolist():  # the noise stream runs setting by setting
+                    states[:, start : start + c] = self._trajectories(
+                        states[:, start : start + c], k, undo_u, noise_rng
+                    )
+                    start += c
+                chunk_axes = np.repeat(chunk_axes, chunk_counts, axis=0)
+                columns = np.arange(hi - lo)
+            else:
+                columns = np.repeat(np.arange(b - a), chunk_counts)
+            draws[lo:hi] = _sample(_rotate_to_z(states, chunk_axes), columns, u01[lo:hi])
         self.ledger.add_shots(inverse_prefix.depth + k + (undo is not None), len(u01))
-        return [draws[a : a + c] for a, c in zip(starts, counts.tolist())]
+        return draws
 
     def _trajectories(self, cols, k, undo_u, rng) -> np.ndarray:
         """Noisy runs of the hidden layers on column states, one column per shot."""

@@ -122,9 +122,6 @@ class GateSet:
                 return g
         raise UnknownGateName(f"gate {name!r} not in set")
 
-    def find(self, name: str, arity: int) -> Gate:
-        return self._find(self.singles if arity == 1 else self.doubles, name)
-
     @property
     def identity(self) -> Gate | None:
         for g in self.singles:

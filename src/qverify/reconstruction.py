@@ -31,15 +31,14 @@ from .circuits import (
 from .core import (
     DensityMatrix,
     PauliBasis,
-    StateVec,
-    exact_pauli_distribution,
     partial_trace_array,
     pure_marginal_array,
     purity,
     relative_fidelity_array,
     trace_distance_array,
 )
-from .device import PREP_SEQUENCES, PREP_VECTORS, Device, TimeLedger
+from .device import PREP_SEQUENCES, PREP_VECTORS, Device, TimeLedger, settings_table
+from .device import _product_states, _rotate_to_z
 from .errors import (
     AmbiguousMatch,
     EmptyGateSet,
@@ -80,21 +79,17 @@ def prep_gate_names(axis: str, outcome: int) -> tuple[str, ...]:
     return tuple(names)
 
 
-# One qubit's preparation gates, indexed by 2 * ancilla axis code + outcome bit
-# (bit 0 is the +1 outcome).
-_ANCILLA_PREP = tuple(
-    prep_gate_names(axis, 1 - 2 * bit) for axis in AXES_STR for bit in (0, 1)
+# One qubit's preparation code (a row of PREP_SEQUENCES), indexed by
+# 2 * ancilla axis code + outcome bit (bit 0 is the +1 outcome).
+_ANCILLA_PREP = np.array(
+    [PREP_SEQUENCES.index(prep_gate_names(a, 1 - 2 * bit)) for a in AXES_STR for bit in (0, 1)],
+    dtype=np.int8,
 )
-
-
-@lru_cache(maxsize=4096)
-def _pauli_basis(codes: tuple[int, ...]) -> PauliBasis:
-    return PauliBasis(tuple(AXES_STR[c] for c in codes))
 
 
 def prep_state(axis: str, outcome: int) -> np.ndarray:
     """Single-qubit state produced by :func:`prep_gate_names` on |0>."""
-    return PREP_VECTORS[PREP_SEQUENCES.index(prep_gate_names(axis, outcome))].copy()
+    return PREP_VECTORS[_ANCILLA_PREP[2 * AXES_STR.index(axis) + (outcome == -1)]].copy()
 
 
 def exact_pseudo_joint(
@@ -103,19 +98,22 @@ def exact_pseudo_joint(
     """Exact joint (X_P, X_A) distribution of the ancilla-free protocol.
 
     X_A is uniform; the principal register starts in the matching product
-    state, runs through ``u`` and is measured in ``principal``.
+    state, runs through ``u`` and is measured in ``principal``. All 2^n
+    ancilla outcomes are evolved and rotated together, one column each.
     """
     n = len(ancilla)
-    out: dict[tuple, float] = {}
+    outcomes = list(product((1, -1), repeat=n))  # qubit 0 most significant
+    bits = (np.array(outcomes) == -1).reshape(-1, n)
+    anc_axes = np.array([AXES_STR.index(a) for a in ancilla.axes])
+    pri_axes = np.array([AXES_STR.index(a) for a in principal.axes])
+    phi = u @ _product_states(_ANCILLA_PREP[2 * anc_axes + bits])
+    probs = np.abs(_rotate_to_z(phi, np.broadcast_to(pri_axes, bits.shape))) ** 2
     p_xa = 2.0**-n
-    for bits in product((1, -1), repeat=n):
-        psi = np.ones(1, dtype=complex)
-        for axis, outcome in zip(ancilla.axes, bits):
-            psi = np.kron(psi, prep_state(axis, outcome))
-        phi = u @ psi
-        for xp, p in exact_pauli_distribution(StateVec(n, phi), principal).items():
-            out[(xp, bits)] = p_xa * p
-    return out
+    return {
+        (xp, xa): p_xa * float(p)
+        for xa, column in zip(outcomes, probs.T.tolist())
+        for xp, p in zip(outcomes, column)
+    }
 
 
 # -- gate matching ------------------------------------------------------------------
@@ -253,14 +251,8 @@ def _run_settings(device: Device, k: int, prefix: LayeredCircuit, rows, counts, 
     """
     n = device.n
     anc_axes, anc_outs01, pri_axes = rows[:, :n], rows[:, n : 2 * n], rows[:, 2 * n :]
-    settings = [
-        (tuple(_ANCILLA_PREP[c] for c in anc), _pauli_basis(tuple(pri)), count)
-        for anc, pri, count in zip(
-            (2 * anc_axes + anc_outs01).tolist(), pri_axes.tolist(), counts.tolist()
-        )
-    ]
-    index_arrays = device.execute_settings(prefix, k, settings, rng, undo=undo)
-    pri_bits = _index_bits(np.concatenate(index_arrays), n)
+    settings = settings_table(_ANCILLA_PREP[2 * anc_axes + anc_outs01], pri_axes, counts)
+    pri_bits = _index_bits(device.execute_settings(prefix, k, settings, rng, undo=undo), n)
     bits = np.hstack([pri_bits, np.repeat(anc_outs01, counts, axis=0)])
     return np.repeat(np.hstack([pri_axes, anc_axes]), counts, axis=0), 1 - 2 * bits
 
@@ -281,12 +273,17 @@ def _shot_record_set(
     rows = np.hstack(
         [rng.integers(0, radix, size=(shots, n)).astype(np.int8) for radix in (3, 2, 3)]
     )
-    # mixed-radix packing so deduplication runs on a flat integer array
+    # mixed-radix packing so deduplication runs on a flat integer array; the
+    # code identifies its row, so each distinct row is decoded back from it
+    radices = np.repeat([3, 2, 3], n)
     code = np.zeros(shots, dtype=np.int64)
-    for column, radix in zip(rows.T, np.repeat([3, 2, 3], n)):
+    for column, radix in zip(rows.T, radices):
         code = code * radix + column
-    _, first, counts = np.unique(code, return_index=True, return_counts=True)
-    return RecordSet(n, *_run_settings(device, k, prefix, rows[first], counts, rng))
+    code, counts = np.unique(code, return_counts=True)
+    distinct = np.empty((len(code), 3 * n), dtype=np.int8)
+    for j in range(3 * n - 1, -1, -1):
+        code, distinct[:, j] = np.divmod(code, radices[j])
+    return RecordSet(n, *_run_settings(device, k, prefix, distinct, counts, rng))
 
 
 def _exact_window_estimates(device: Device, k: int, prefix: LayeredCircuit) -> list[RdmEstimate]:

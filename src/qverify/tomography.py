@@ -100,6 +100,10 @@ class RecordSet:
             raise InvalidParameter(
                 f"expected {2 * self.n} wires, got {bases.shape[1]}"
             )
+        if bases.size and (bases.min() < 0 or bases.max() > 2):
+            raise InvalidParameter("basis codes must be 0 (X), 1 (Y) or 2 (Z)")
+        if not (np.abs(outcomes) == 1).all():
+            raise InvalidParameter("outcomes must be +1 or -1")
         for arr in (bases, outcomes):
             arr.flags.writeable = False
         object.__setattr__(self, "bases", bases)

@@ -155,6 +155,41 @@ class TestReconstructCommand:
         assert "Traceback" not in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, ignored",
+        [
+            (["--eps", "0.2"], "--eps"),
+            (["--delta", "0.05"], "--delta"),
+            (["--mode", "hardware", "--eps", "-1", "--delta", "5"], "--eps --delta"),
+            (["--mode", "strict", "--exact", "--delta", "0.05"], "--delta"),
+            (["--exact", "--eps", "0.22", "--delta", "0.1"], "--delta"),
+        ],
+        ids=["hardware-eps", "hardware-delta", "hardware-both", "exact-delta",
+             "exact-eps-and-delta"],
+    )
+    def test_flags_the_mode_ignores_are_config_errors(
+        self, tmp_path, demo_file, capsys, flags, ignored
+    ):
+        out = tmp_path / "out"
+        rc = run([
+            "reconstruct", "--circuit", str(demo_file), "--shots", "256", "--out", str(out),
+        ] + flags)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("configuration error: no effect with ")
+        assert captured.err.rstrip().endswith(f": {ignored}")
+        assert not out.exists()
+
+    def test_strict_defaults_fill_eps_and_delta(self, tmp_path, demo_file, capsys):
+        default, explicit = tmp_path / "default", tmp_path / "explicit"
+        base = ["reconstruct", "--circuit", str(demo_file), "--mode", "strict",
+                "--shots", "2000", "--seed", "4"]
+        assert run(base + ["--out", str(default)]) in (0, 1)
+        note = capsys.readouterr().out
+        assert "eps=0.2, delta=0.05 guarantee" in note
+        assert run(base + ["--eps", "0.2", "--delta", "0.05", "--out", str(explicit)]) in (0, 1)
+        assert capsys.readouterr().out == note
+
     def test_exact_mode_ignores_shots(self, tmp_path, demo_file):
         out = tmp_path / "out"
         rc = run([

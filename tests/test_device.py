@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,11 +15,13 @@ from qverify.circuits import (
 )
 from qverify.core import PauliBasis, StateVec, exact_pauli_distribution
 from qverify.device import (
+    PREP_SEQUENCES,
     Device,
     DeviceProfile,
     NoiseConfig,
     TimeLedger,
     device_time_for_learning,
+    settings_table,
 )
 from qverify.errors import InvalidRequest
 from qverify.gates import builtin_gate, standard_gate_set
@@ -36,11 +39,15 @@ def demo_device(depth=3, noise=None, t=Fraction(1)):
     return Device(DeviceProfile(2, c.depth, t, c), noise), c
 
 
+def axis_codes(axes):
+    return [["XYZ".index(a) for a in axes]]
+
+
 def blank_shots(dev, axes, k, shots, rng, prefix=None, undo=None):
     """Indices of the outcomes of ``shots`` unprepared shots read out along ``axes``."""
     prefix = identity_circuit(dev.n) if prefix is None else prefix
-    setting = (((),) * dev.n, PauliBasis.from_string(axes), shots)
-    return dev.execute_settings(prefix, k, [setting], rng, undo=undo)[0]
+    setting = settings_table(np.zeros((1, dev.n), dtype=int), axis_codes(axes), [shots])
+    return dev.execute_settings(prefix, k, setting, rng, undo=undo)
 
 
 class TestExecuteShot:
@@ -75,9 +82,11 @@ class TestExecuteShot:
             blank_shots(dev, "ZZ", 99, 1, 0)
         with pytest.raises(InvalidRequest):
             blank_shots(dev, "Z", 0, 1, 0)
-        for prep in ((("Q",), ()), (("H", "X"), ())):
+        for prep in ([[-1, 0]], [[len(PREP_SEQUENCES), 0]]):
             with pytest.raises(InvalidRequest):
-                dev.execute_settings(identity_circuit(2), 0, [(prep, PauliBasis(("Z", "Z")), 1)], 0)
+                dev.execute_settings(
+                    identity_circuit(2), 0, settings_table(prep, [[2, 2]], [1]), 0
+                )
 
     def test_seed_determinism(self):
         dev1, _ = demo_device(2)
@@ -87,21 +96,39 @@ class TestExecuteShot:
         assert np.array_equal(a, b)
 
 
+def table(prep=((0, 0), (0, 0)), axes=((2, 2), (2, 2)), shots=(4, 4)):
+    return settings_table(np.array(prep), np.array(axes), np.array(shots))
+
+
+def reordered_table():
+    """A valid table's columns in (axes, prep, shots) order."""
+    valid = table()
+    out = np.empty(2, dtype=[("axes", int, (2,)), ("prep", int, (2,)), ("shots", int)])
+    for name in ("axes", "prep", "shots"):
+        out[name] = valid[name]
+    return out
+
+
 class TestExecuteSettingsValidation:
     """An invalid call raises InvalidRequest before any unitary, draw or ledger entry."""
 
-    ZZ = PauliBasis(("Z", "Z"))
-    VALID = (((), ()), ZZ, 4)
     CASES = {
         "k above depth": dict(k=99),
         "negative k": dict(k=-1),
         "prefix on the wrong n": dict(prefix=identity_circuit(3)),
-        "prep too short": dict(settings=[VALID, (((),), ZZ, 4)]),
-        "basis too short": dict(settings=[VALID, (((), ()), PauliBasis(("Z",)), 4)]),
-        "prep gate outside X, H, S": dict(settings=[VALID, ((("Q",), ()), ZZ, 4)]),
-        "prep gates out of order": dict(settings=[VALID, ((("H", "X"), ()), ZZ, 4)]),
-        "prep gate repeated": dict(settings=[VALID, ((("X", "X"), ()), ZZ, 4)]),
-        "negative shot count": dict(settings=[VALID, (((), ()), ZZ, -1)]),
+        "prep too short": dict(settings=table(prep=((0,), (0,)))),
+        "basis too short": dict(settings=table(axes=((2,), (2,)))),
+        "prep code -1": dict(settings=table(prep=((0, 0), (-1, 0)))),
+        "prep code 8": dict(settings=table(prep=((0, 0), (0, 8)))),
+        "prep code 256, 0 after an int8 cast": dict(settings=table(prep=((0, 0), (0, 256)))),
+        "axis code 3": dict(settings=table(axes=((2, 2), (3, 2)))),
+        "axis code -1": dict(settings=table(axes=((2, 2), (2, -1)))),
+        "negative shot count": dict(settings=table(shots=(4, -1))),
+        "fields out of order": dict(settings=reordered_table()),
+        "shots field missing": dict(settings=table()[["prep", "axes"]]),
+        "float codes": dict(settings=table(prep=((0.0, 0.0), (0.0, 0.0)))),
+        "list of tuples": dict(settings=[(((), ()), ("Z", "Z"), 4)]),
+        "two-dimensional table": dict(settings=table().reshape(1, 2)),
         "undo off the line": dict(undo=Layer(((0, 5),), (builtin_gate("CNOT"),))),
         "undo leaves a qubit out": dict(undo=Layer(((0,),), (builtin_gate("H"),))),
     }
@@ -115,7 +142,7 @@ class TestExecuteSettingsValidation:
 
         monkeypatch.setattr("qverify.device.compose_unitary", no_unitary)
         monkeypatch.setattr("qverify.device.layer_unitary", no_unitary)
-        call = dict(prefix=identity_circuit(2), k=1, settings=[self.VALID], undo=None)
+        call = dict(prefix=identity_circuit(2), k=1, settings=table(), undo=None)
         call.update(self.CASES[case])
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
@@ -127,13 +154,57 @@ class TestExecuteSettingsValidation:
         assert dev.ledger.layer_count == 0
         assert dev.ledger.per_shot_layers == {}
 
-    def test_valid_call_returns_one_array_per_setting(self):
+    def test_valid_call_returns_one_flat_array(self):
         dev, _ = demo_device(1)
-        settings = [self.VALID, ((("X",), ("H", "S")), PauliBasis(("X", "Y")), 0), self.VALID]
+        xh = PREP_SEQUENCES.index(("X",)), PREP_SEQUENCES.index(("H", "S"))
+        settings = table(prep=((0, 0), xh, (0, 0)), axes=((2, 2), (0, 1), (2, 2)), shots=(4, 0, 4))
         out = dev.execute_settings(identity_circuit(2), 1, settings, np.random.default_rng(3))
-        assert [len(a) for a in out] == [4, 0, 4]
+        assert out.shape == (8,) and out.dtype == np.int64
         assert dev.ledger.layer_count == 8
-        assert dev.execute_settings(identity_circuit(2), 1, [], 0) == []
+        no_rows = np.zeros((0, 2), int)
+        empty = table(prep=no_rows, axes=no_rows, shots=np.zeros(0, int))
+        out = dev.execute_settings(identity_circuit(2), 1, empty, 0)
+        assert out.shape == (0,)
+
+
+def random_table(n, settings, seed):
+    gen = np.random.default_rng(seed)
+    return settings_table(
+        gen.integers(0, len(PREP_SEQUENCES), size=(settings, n)),
+        gen.integers(0, 3, size=(settings, n)),
+        gen.integers(0, 6, size=settings),
+    )
+
+
+class TestChunking:
+    """Sampling in chunks of settings reads the same draws as one whole batch."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.2])
+    def test_chunk_boundaries_leave_draws_unchanged(self, p, monkeypatch):
+        c = random_circuit(3, 2, standard_gate_set(), 4)
+        prefix = random_circuit(3, 1, standard_gate_set(), 5)
+        settings = random_table(3, 23, 6)
+        runs = []
+        for chunk in (4096, 5):
+            monkeypatch.setattr("qverify.device.CHUNK_SETTINGS", chunk)
+            dev = Device(DeviceProfile(3, 2, Fraction(1), c), NoiseConfig(depolarizing_p=p))
+            runs.append(dev.execute_settings(prefix, 2, settings, np.random.default_rng(8)))
+        assert len(runs[0]) == settings["shots"].sum()
+        assert np.array_equal(runs[0], runs[1])
+
+    def test_n8_record_set_memory_is_bounded(self):
+        from qverify.reconstruction import _shot_record_set
+
+        c = random_circuit(8, 1, standard_gate_set(), 9)
+        dev = Device(DeviceProfile(8, 1, Fraction(1), c))
+        tracemalloc.start()
+        try:
+            rs = _shot_record_set(dev, 1, identity_circuit(8), 20_000, np.random.default_rng(10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rs) == 20_000
+        assert peak < 128 * 2**20, f"peak {peak / 2**20:.0f} MB"
 
 
 class TestBlackBox:

@@ -195,6 +195,20 @@ class TestCoefficientEstimation:
         value, n_compat = estimate_pauli_coefficient(rs, (0, 1), "ZZ")
         assert (value, n_compat) == (0.0, 0)
 
+    @pytest.mark.parametrize(
+        "bases, outs",
+        [
+            ([[0, 3]], [[1, 1]]),  # basis code past Z
+            ([[-1, 0]], [[1, 1]]),  # negative basis code
+            ([[0, 1]], [[1, 0]]),  # outcome 0
+            ([[0, 1]], [[2, -1]]),  # outcome 2
+        ],
+        ids=["basis-3", "basis-negative", "outcome-0", "outcome-2"],
+    )
+    def test_records_outside_the_code_ranges_rejected(self, bases, outs):
+        with pytest.raises(InvalidParameter):
+            RecordSet(1, bases, outs)
+
     def test_window_size_checked(self):
         rs = bell_record_set()
         with pytest.raises(WindowSizeMismatch):
