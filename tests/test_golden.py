@@ -6,19 +6,23 @@ draws, the sampling rule or the setting order shows up here. They were
 computed from the per-setting device loop that the batched path replaced.
 The estimate digests pin every window matrix, compatible-shot count and
 low-count list estimated from those records; they were computed from the
-per-string coefficient loop that the single contraction replaced. No digest
-may be regenerated to make a change pass.
+per-string coefficient loop that the single contraction replaced. The CLI
+digests pin the files that ``qverify reconstruct`` and the two sweeps write;
+they were computed before the sweeps and report formats left ``cli.py``. No
+digest may be regenerated to make a change pass.
 """
 
 import hashlib
 import json
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from qverify.benchmarks import demo_circuit
 from qverify.circuits import Layer, LayeredCircuit, random_circuit
+from qverify.cli import main
 from qverify.device import Device, DeviceProfile, NoiseConfig
 from qverify.gates import builtin_gate, standard_gate_set
 from qverify.reconstruction import _dedicated_record_set, _shot_record_set
@@ -145,3 +149,51 @@ def test_register_window_estimate_digest(case):
     rs = _dedicated_record_set(dev, 2, prefix, 300, np.random.default_rng(21), undo=undo)
     estimates = [estimate_window(rs, (q, q + 2)) for q in range(2)]
     assert _estimate_digest(estimates) == DEDICATED_ESTIMATES[case]
+
+
+def _data_file(name: str) -> str:
+    return str(resources.files("qverify").joinpath(f"data/{name}"))
+
+
+# command -> {written file: sha256 of its bytes}
+CLI_CASES = {
+    "hardware-d3": (
+        ["reconstruct", "--circuit", _data_file("demo_d3.json"), "--noise-p", "0.002",
+         "--shots", "2048", "--seed", "4"],
+        {
+            "report.json": "ee9723de1b1c0e5275ef5e91ac11cbf86bc5dd3fbe34e8e375b4b9daa9e4dacf",
+            "report.csv": "3b6ad7b1559b3608a42a7d2ef1085c6b60c3a8ccb6bb23145f84c2b1320231bc",
+            "reconstructed_circuit.json":
+                "0698597f8d3249507142e43ef8c3b0b5b96aac426b3b2867a89c192c013c4090",
+        },
+    ),
+    "exact-d2": (
+        ["reconstruct", "--circuit", _data_file("demo_d2.json"), "--exact", "--eps", "0.22",
+         "--seed", "3"],
+        {
+            "report.json": "20a0c136880643c3f6a2765cb0c0b4356adf0e8c9ad788a6129d61e79a7c6b31",
+            "report.csv": "f46fa3f6e39caa99221e55f88518b1aab5cc215ed3f7bd201805d9eef17b21ce",
+            "reconstructed_circuit.json":
+                "8453cb507bf378c6df3502b427e0012b90f5c52b41668da3fd17a4b301630785",
+        },
+    ),
+    "sweep-samples": (
+        ["sweep-samples", "--n", "4", "--shots-list", "100,1000,10000", "--seeds", "3",
+         "--seed", "5"],
+        {"samples.csv": "6e770bd72261600587abf93017d5141d40c297b13e09730d651f004c114e1f53"},
+    ),
+    "sweep-noise": (
+        ["sweep-noise", "--depths", "6", "--seeds", "3", "--seed", "5"],
+        {"noise.csv": "3aeea1a7643f93dbf9832c159737149d8e2af4999bee7e65a50bab03b5540c95"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_output_digest(tmp_path, case):
+    argv, expected = CLI_CASES[case]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    written = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in expected
+    }
+    assert written == expected
