@@ -18,12 +18,15 @@ optional annotation tying consecutive strict layers into one reported round; a
 file may carry ``slices`` instead of ``layers``, in which case each slice (a
 run of single-qubit gates followed by optional two-qubit gates on the same
 qubits) is split into strict layers on parse and the grouping recorded.
+Optional top-level ``t`` and ``noise`` keys configure the simulated device;
+:func:`parse_circuit_file` returns them with the circuit.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -182,14 +185,34 @@ def _matrix_from_json(data, where: str) -> np.ndarray:
     return flat.reshape(dim, dim)
 
 
-def _gate_lookup(spec_sets: dict, where: str) -> dict[str, Gate]:
+def _shaped(value, kind: type, where: str):
+    """``value`` if it is a JSON object (dict) or array (list), else CircuitSyntaxError."""
+    if not isinstance(value, kind):
+        expected = "an object" if kind is dict else "an array"
+        raise CircuitSyntaxError(f"expected {expected}, got {json.dumps(value)[:60]}", where)
+    return value
+
+
+def _integer(value, where: str) -> int:
+    """An integer or a string of one; a fractional number is refused, not truncated."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (number != value and not isinstance(value, str)):
+        raise CircuitSyntaxError(f"expected an integer, got {json.dumps(value)[:60]}", where)
+    return number
+
+
+def _gate_lookup(spec_sets, where: str) -> dict[str, Gate]:
+    _shaped(spec_sets, dict, where)
     table: dict[str, Gate] = {}
     for kind, arity in (("singles", 1), ("doubles", 2)):
-        for idx, entry in enumerate(spec_sets.get(kind, [])):
+        for idx, entry in enumerate(_shaped(spec_sets.get(kind, []), list, f"{where}.{kind}")):
             loc = f"{where}.{kind}[{idx}]"
-            if "name" not in entry:
+            name = _shaped(entry, dict, loc).get("name")
+            if not isinstance(name, str):
                 raise CircuitSyntaxError("gate entry without a name", loc)
-            name = entry["name"]
             if "matrix" in entry:
                 m = _matrix_from_json(entry["matrix"], loc)
                 gate = Gate(name, arity, m)
@@ -201,6 +224,14 @@ def _gate_lookup(spec_sets: dict, where: str) -> dict[str, Gate]:
     return table
 
 
+def parse_gate_set(text: str) -> GateSet:
+    """Parse a gate-set file: an object with ``singles`` and ``doubles`` arrays."""
+    table = _gate_lookup(_load_json(text), "gate_set")
+    singles = tuple(g for g in table.values() if g.arity == 1)
+    doubles = tuple(g for g in table.values() if g.arity == 2)
+    return GateSet(singles=singles, doubles=doubles)
+
+
 def _resolve_gate(name: str, table: dict[str, Gate]) -> Gate:
     if name in table:
         return table[name]
@@ -210,10 +241,10 @@ def _resolve_gate(name: str, table: dict[str, Gate]) -> Gate:
 
 
 def _entry_to_block(entry, table: dict[str, Gate], n: int, where: str):
-    if not isinstance(entry, dict) or "gate" not in entry or "qubits" not in entry:
+    if not isinstance(entry, dict) or not isinstance(entry.get("gate"), str):
         raise CircuitSyntaxError("expected {'gate': ..., 'qubits': [...]}", where)
     gate = _resolve_gate(entry["gate"], table)
-    qubits = tuple(int(q) for q in entry["qubits"])
+    qubits = tuple(_integer(q, where) for q in _shaped(entry.get("qubits"), list, where))
     if any(q < 0 or q >= n for q in qubits):
         raise IndexOutOfRange(f"{where}: qubits {qubits} out of range for n={n}")
     if len(qubits) != gate.arity:
@@ -240,7 +271,7 @@ def _pad_identity(blocks, gates, n: int, table: dict[str, Gate], where: str):
 
 def _parse_strict_layer(entries, table, n, where) -> Layer:
     blocks, gates = [], []
-    for idx, entry in enumerate(entries):
+    for idx, entry in enumerate(_shaped(entries, list, where)):
         b, g = _entry_to_block(entry, table, n, f"{where}[{idx}]")
         blocks.append(b)
         gates.append(g)
@@ -259,7 +290,7 @@ def normalize_slice(apps, table, n, where) -> list[Layer]:
     as one round. A slice without two-qubit gates still emits an identity
     round in their place, keeping every round's two-qubit slot explicit.
     """
-    if not apps:
+    if not _shaped(apps, list, where):
         raise CircuitSyntaxError("empty slice", where)
     single_rounds: list[dict[int, Gate]] = []
     double_blocks: list[tuple[tuple[int, ...], Gate]] = []
@@ -298,35 +329,59 @@ def normalize_slice(apps, table, n, where) -> list[Layer]:
     return layers
 
 
-def parse_circuit(text: str) -> LayeredCircuit:
-    """Parse circuit JSON; slices are normalized into strict layers."""
+def _load_json(text: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CircuitSyntaxError(exc.msg, f"line {exc.lineno}, column {exc.colno}")
+        raise CircuitSyntaxError(exc.msg, f"line {exc.lineno}, column {exc.colno}") from None
+
+
+def parse_circuit_file(text: str) -> tuple[LayeredCircuit, Fraction, float]:
+    """Parse circuit JSON plus its optional device keys.
+
+    Returns the circuit (slices normalized into strict layers), the file's
+    ``t`` (default 1) and its ``noise.depolarizing_p`` (default 0). A value of
+    the wrong JSON shape raises CircuitSyntaxError.
+    """
+    doc = _load_json(text)
     if not isinstance(doc, dict) or "n" not in doc:
         raise CircuitSyntaxError("top level must be an object with 'n'")
-    n = int(doc["n"])
+    n = _integer(doc["n"], "n")
     if n < 1:
         raise CircuitSyntaxError(f"n={n} must be positive")
     table = _gate_lookup(doc.get("gate_set", {}), "gate_set")
     layers: list[Layer] = []
     groups: list[tuple[int, ...]] = []
     if "slices" in doc:
-        for s_idx, apps in enumerate(doc["slices"]):
+        for s_idx, apps in enumerate(_shaped(doc["slices"], list, "slices")):
             start = len(layers)
             layers.extend(normalize_slice(apps, table, n, f"slices[{s_idx}]"))
             groups.append(tuple(range(start, len(layers))))
     elif "layers" in doc:
-        for l_idx, entries in enumerate(doc["layers"]):
+        for l_idx, entries in enumerate(_shaped(doc["layers"], list, "layers")):
             layers.append(_parse_strict_layer(entries, table, n, f"layers[{l_idx}]"))
-        if "groups" in doc:
-            groups = [tuple(int(i) for i in g) for g in doc["groups"]]
-        else:
-            groups = [(i,) for i in range(len(layers))]
+        # no groups: LayeredCircuit puts each layer in its own
+        groups = [
+            tuple(_integer(i, "groups") for i in _shaped(g, list, "groups"))
+            for g in _shaped(doc.get("groups", []), list, "groups")
+        ]
     else:
         raise CircuitSyntaxError("circuit needs 'layers' or 'slices'")
-    return LayeredCircuit(n, tuple(layers), tuple(groups))
+    try:
+        t = Fraction(str(doc.get("t", 1)))
+    except (ValueError, ZeroDivisionError):
+        raise CircuitSyntaxError(f"expected a number, got {doc['t']!r}", "t") from None
+    p = _shaped(doc.get("noise", {}), dict, "noise").get("depolarizing_p", 0.0)
+    try:
+        p = float(p)
+    except (TypeError, ValueError):
+        raise CircuitSyntaxError(f"expected a number, got {p!r}", "noise") from None
+    return LayeredCircuit(n, tuple(layers), tuple(groups)), t, p
+
+
+def parse_circuit(text: str) -> LayeredCircuit:
+    """Parse circuit JSON; slices are normalized into strict layers."""
+    return parse_circuit_file(text)[0]
 
 
 def emit_circuit(circuit: LayeredCircuit) -> str:

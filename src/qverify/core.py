@@ -248,7 +248,8 @@ def relative_fidelity_array(a: np.ndarray, b: np.ndarray) -> float:
 # -- Pauli-basis measurement ---------------------------------------------------
 
 
-def _rotated_probabilities(state: StateVec, basis: PauliBasis) -> np.ndarray:
+def exact_pauli_distribution(state: StateVec, basis: PauliBasis) -> dict[tuple[int, ...], float]:
+    """Exact joint outcome distribution as {(+1/-1 per qubit): probability}."""
     if len(basis) != state.n_qubits:
         raise DimensionMismatch(
             f"basis covers {len(basis)} qubits, state has {state.n_qubits}"
@@ -257,11 +258,5 @@ def _rotated_probabilities(state: StateVec, basis: PauliBasis) -> np.ndarray:
     for q, axis in enumerate(basis.axes):
         if axis != "Z":
             amp = apply_unitary_array(amp, AXIS_ROTATIONS[axis], (q,), state.n_qubits)
-    return np.abs(amp) ** 2
-
-
-def exact_pauli_distribution(state: StateVec, basis: PauliBasis) -> dict[tuple[int, ...], float]:
-    """Exact joint outcome distribution as {(+1/-1 per qubit): probability}."""
-    probs = _rotated_probabilities(state, basis)
     keys = product((1, -1), repeat=state.n_qubits)  # qubit 0 most significant
-    return {key: float(p) for key, p in zip(keys, probs)}
+    return {key: float(p) for key, p in zip(keys, np.abs(amp) ** 2)}

@@ -110,14 +110,7 @@ class GateSet:
         object.__setattr__(self, "doubles", doubles)
 
     def single(self, name: str) -> Gate:
-        return self._find(self.singles, name)
-
-    def double(self, name: str) -> Gate:
-        return self._find(self.doubles, name)
-
-    @staticmethod
-    def _find(pool, name: str) -> Gate:
-        for g in pool:
+        for g in self.singles:
             if g.name == name:
                 return g
         raise UnknownGateName(f"gate {name!r} not in set")

@@ -15,6 +15,7 @@ and the residual overlap with the Bell state identifies the local gates.
 
 from __future__ import annotations
 
+import json
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -26,6 +27,7 @@ from .circuits import (
     Layer,
     LayeredCircuit,
     choi_state,
+    emit_circuit,
     layer_unitary,
 )
 from .core import (
@@ -54,6 +56,10 @@ from .resolution import cached_resolution
 from .tomography import RecordSet, RdmEstimate, estimate_window, pair_windows, project_to_physical
 
 AXES_STR = "XYZ"
+
+# A register purity below this marks an entangling gate (hardware mode and
+# the continuous-gate noise sweep).
+PURITY_THRESHOLD = 0.75
 
 
 # -- pseudo-measurement preparation ------------------------------------------------
@@ -214,10 +220,6 @@ class ReconstructionReport:
     warnings: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        import json
-
-        from .circuits import emit_circuit
-
         doc = {
             "circuit": json.loads(emit_circuit(self.circuit)),
             "per_layer": [rep.to_dict() for rep in self.per_layer],
@@ -229,6 +231,34 @@ class ReconstructionReport:
             },
         }
         return json.dumps(doc, indent=1, sort_keys=True)
+
+    def to_csv(self, groups: tuple[tuple[int, ...], ...] = ()) -> str:
+        """``report.csv`` (schema v1): one row per layer and register.
+
+        ``groups``, the hidden circuit's grouping of layer indices, labels the
+        rows if it covers the reconstructed depth; else layer i is group i - 1.
+        """
+        group_of = {}
+        if sum(map(len, groups)) == self.circuit.depth:
+            group_of = {i + 1: g for g, members in enumerate(groups) for i in members}
+        lines = [
+            "layer,group,register,gates,purity,purity_theory,relative_fidelity,distance,residual"
+        ]
+        for rep in self.per_layer:
+            head = [str(rep.index), str(group_of.get(rep.index, rep.index - 1))]
+            for reg in sorted(rep.purities):
+                values = [rep.purities[reg], rep.purities_theory[reg]] + [
+                    table.get(reg, float("nan"))
+                    for table in (rep.fidelities, rep.distances, rep.residuals)
+                ]
+                row = head + [reg, ";".join(rep.gates)] + [format_float(v) for v in values]
+                lines.append(",".join(row))
+        return "\n".join(lines) + "\n"
+
+
+def format_float(x: float) -> str:
+    """Twelve significant digits: the number format of every CSV the package writes."""
+    return f"{x:.12g}"
 
 
 # -- strict single-layer learning ----------------------------------------------------
@@ -458,10 +488,10 @@ def _warn_eps(gs: GateSet, eps: float) -> None:
 # -- hardware-style heuristics ------------------------------------------------------
 
 
-def detect_cnot_by_purity(est_pair, threshold: float = 0.75) -> bool:
-    """Entangling gate present iff either register purity falls below threshold."""
+def detect_cnot_by_purity(est_pair) -> bool:
+    """Entangling gate present iff either register purity falls below PURITY_THRESHOLD."""
     a, b = est_pair
-    return min(purity(a), purity(b)) < threshold
+    return min(purity(a), purity(b)) < PURITY_THRESHOLD
 
 
 _BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -517,7 +547,6 @@ def _learn_layer_hardware(
     shots_per_setting: int,
     gs: GateSet,
     rng,
-    threshold: float = 0.75,
 ) -> tuple[list[Layer], LayerReport]:
     n = device.n
     if n != 2:
@@ -527,7 +556,7 @@ def _learn_layer_hardware(
     raw1 = [estimate_window(rs1, (q, q + n)).matrix for q in range(n)]
     regs1 = [project_to_physical(m) for m in raw1]
     report = LayerReport(index=k, structure=(), gates=())
-    report.cnot_detected = detect_cnot_by_purity(tuple(regs1), threshold)
+    report.cnot_detected = detect_cnot_by_purity(tuple(regs1))
 
     entangler: Gate | None = None
     if report.cnot_detected:
@@ -623,7 +652,6 @@ def learn_multi(
     eps: float,
     rng,
     mode: str = "strict",
-    threshold: float = 0.75,
 ) -> ReconstructionReport:
     """Reconstruct every layer recursively, re-applying learned inverses.
 
@@ -644,21 +672,17 @@ def learn_multi(
         raise InvalidParameter(f"eps={eps} must be positive in {mode} mode")
     if mode in ("strict", "strict-exact"):
         _warn_eps(gs, eps)
-    seed_based = not isinstance(rng, np.random.Generator)
-    root = rng if seed_based else None
-    gen = None if seed_based else rng
 
     learned: list[Layer] = []
     reports: list[LayerReport] = []
     global_warnings: list[str] = []
     for k in range(1, device.d + 1):
         prefix = LayeredCircuit(device.n, tuple(learned)).inverse()
-        layer_rng = _layer_stream(root, gen, k)
+        # a generator is shared by every layer; a seed (None is 0) roots one stream per layer
+        layer_rng = rng if isinstance(rng, np.random.Generator) else stream(rng or 0, k)
         try:
             if mode == "hardware":
-                layers, rep = _learn_layer_hardware(
-                    device, k, prefix, shots, gs, layer_rng, threshold
-                )
+                layers, rep = _learn_layer_hardware(device, k, prefix, shots, gs, layer_rng)
                 learned.extend(layers)
             else:
                 estimator = "exact" if mode == "strict-exact" else "shots"
@@ -680,9 +704,3 @@ def learn_multi(
         ledger=device.ledger,
         warnings=global_warnings,
     )
-
-
-def _layer_stream(root, gen, k: int):
-    if gen is not None:
-        return gen
-    return stream(root if root is not None else 0, k)

@@ -139,11 +139,6 @@ def raw_class_counts(gs: GateSet) -> dict[str, int]:
     return counts
 
 
-def degenerate_collisions(elements: list[ConfigElement]) -> list[ConfigElement]:
-    """Elements whose merged provenances matching must be able to tell apart."""
-    return [e for e in elements if len(e.keys) > 1]
-
-
 def gate_set_resolution(gs: GateSet, elements: list[ConfigElement] | None = None) -> float:
     """Half the minimum pairwise trace distance between distinct elements.
 
@@ -153,7 +148,8 @@ def gate_set_resolution(gs: GateSet, elements: list[ConfigElement] | None = None
     """
     if elements is None:
         elements = enumerate_config_classes(gs)
-    bad = degenerate_collisions(elements)
+    # merged provenances that matching must be able to tell apart
+    bad = [e for e in elements if len(e.keys) > 1]
     if bad:
         details = "; ".join(
             " == ".join(p.detail for p in e.provenance[:4]) for e in bad[:3]

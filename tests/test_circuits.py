@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from qverify.circuits import (
     emit_circuit,
     layer_unitary,
     parse_circuit,
+    parse_circuit_file,
+    parse_gate_set,
     random_circuit,
     same_circuit,
 )
@@ -255,6 +258,60 @@ class TestCircuitFiles:
         layer = simple_layer(("H", (0,)))
         with pytest.raises(InvalidPartition):
             LayeredCircuit(1, (layer, layer), groups=((0,),))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"n": "two"},
+            {"n": [2]},
+            {"n": 1.5},
+            {"layers": 5},
+            {"layers": [5]},
+            {"layers": [[{"gate": ["H"], "qubits": [0]}]]},
+            {"layers": [[{"gate": "H", "qubits": 0}]]},
+            {"layers": [[{"gate": "H", "qubits": ["a"]}]]},
+            {"layers": [[{"gate": "H", "qubits": [0.7]}]]},
+            {"groups": 1},
+            {"gate_set": []},
+            {"gate_set": {"singles": {}}},
+            {"gate_set": {"singles": [5]}},
+            {"slices": 5},
+            {"noise": 3},
+            {"noise": {"depolarizing_p": "high"}},
+            {"t": "fast"},
+            {"t": "1/0"},
+        ],
+        ids=lambda change: json.dumps(change),
+    )
+    def test_wrong_json_shape_is_syntax_error(self, change):
+        doc = {"n": 1, "layers": [[{"gate": "H", "qubits": [0]}]], **change}
+        with pytest.raises(CircuitSyntaxError):
+            parse_circuit_file(json.dumps(doc))
+
+    def test_device_keys_read_with_the_circuit(self):
+        doc = json.loads(emit_circuit(demo_circuit(1)))
+        assert parse_circuit_file(json.dumps(doc))[1:] == (1, 0.0)
+        doc.update(t="3/2", noise={"depolarizing_p": 0.01, "other": 1})
+        circuit, t, p = parse_circuit_file(json.dumps(doc))
+        assert (circuit, t, p) == (demo_circuit(1), Fraction(3, 2), 0.01)
+
+
+class TestGateSetFiles:
+    def test_names_and_matrices(self):
+        x_matrix = [[0, 0], [1, 0], [1, 0], [0, 0]]
+        doc = {
+            "singles": [{"name": "H"}, {"name": "G", "matrix": x_matrix}],
+            "doubles": [{"name": "CNOT"}],
+        }
+        gs = parse_gate_set(json.dumps(doc))
+        assert [g.name for g in gs.singles] == ["H", "G"]
+        assert np.allclose(gs.single("G").matrix, X)
+        assert [g.name for g in gs.doubles] == ["CNOT"]
+
+    @pytest.mark.parametrize("text", ["[]", "5", "{bad", '{"singles": [{"matrix": []}]}'])
+    def test_wrong_shape_is_syntax_error(self, text):
+        with pytest.raises(CircuitSyntaxError):
+            parse_gate_set(text)
 
 
 class TestSameCircuit:

@@ -1,10 +1,12 @@
 import json
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from qverify.benchmarks import demo_circuit, qft2_circuit
 from qverify.circuits import emit_circuit, parse_circuit, random_circuit, same_circuit
+import qverify.cli
 from qverify.cli import main
 from qverify.gates import standard_gate_set
 
@@ -163,9 +165,10 @@ class TestReconstructCommand:
             (["--mode", "hardware", "--eps", "-1", "--delta", "5"], "--eps --delta"),
             (["--mode", "strict", "--exact", "--delta", "0.05"], "--delta"),
             (["--exact", "--eps", "0.22", "--delta", "0.1"], "--delta"),
+            (["--exact", "--noise-p", "0.5"], "--noise-p"),
         ],
         ids=["hardware-eps", "hardware-delta", "hardware-both", "exact-delta",
-             "exact-eps-and-delta"],
+             "exact-eps-and-delta", "exact-noise-p"],
     )
     def test_flags_the_mode_ignores_are_config_errors(
         self, tmp_path, demo_file, capsys, flags, ignored
@@ -234,6 +237,68 @@ class TestReconstructCommand:
                 ((out / "report.json").read_bytes(), (out / "report.csv").read_bytes())
             )
         assert outs[0] == outs[1]
+
+
+_RECONSTRUCT = ["reconstruct", "--circuit", "{tmp}/demo.json", "--shots", "256"]
+_SWEEP_SAMPLES = ["sweep-samples", "--n", "2", "--shots-list", "100", "--seeds", "1"]
+_SWEEP_NOISE = ["sweep-noise", "--depths", "1", "--seeds", "1"]
+_GENERATE = ["generate", "--n", "2", "--depth", "1"]
+_GATE_SET_LIST = ["--gateset", "{tmp}/gs.json"]
+
+# name -> (argv, QVERIFY_SEED or None); "{tmp}" is the test's directory, and
+# --out defaults to {tmp}/out for every command that takes it
+BAD_INPUT = {
+    "reconstruct-seed-neg": (_RECONSTRUCT + ["--seed", "-1"], None),
+    "sweep-samples-seed-neg": (_SWEEP_SAMPLES + ["--seed", "-1"], None),
+    "generate-seed-neg": (_GENERATE + ["--seed", "-1"], None),
+    "reconstruct-env-seed": (_RECONSTRUCT, "abc"),
+    "sweep-samples-env-seed": (_SWEEP_SAMPLES, "abc"),
+    "sweep-noise-env-seed": (_SWEEP_NOISE, "abc"),
+    "generate-env-seed": (_GENERATE, "abc"),
+    "reconstruct-gate-set-list": (_RECONSTRUCT + _GATE_SET_LIST, None),
+    "generate-gate-set-list": (_GENERATE + _GATE_SET_LIST, None),
+    "resolution-gate-set-list": (["resolution"] + _GATE_SET_LIST, None),
+    "circuit-layers-int": (["reconstruct", "--circuit", "{tmp}/layers.json"], None),
+    "circuit-noise-int": (["reconstruct", "--circuit", "{tmp}/noise.json"], None),
+    "reconstruct-out-under-file": (_RECONSTRUCT + ["--out", "{tmp}/file/out"], None),
+    "sweep-noise-out-under-file": (_SWEEP_NOISE + ["--out", "{tmp}/file/out"], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_bad_input_is_config_error(tmp_path, monkeypatch, capsys, case):
+    doc = json.loads(emit_circuit(demo_circuit(1)))
+    files = {
+        "demo.json": doc,
+        "gs.json": [],
+        "layers.json": {**doc, "layers": 5},
+        "noise.json": {**doc, "noise": 3},
+        "file": "",
+    }
+    for name, content in files.items():
+        (tmp_path / name).write_text(json.dumps(content), encoding="utf-8")
+    template, env_seed = BAD_INPUT[case]
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in template]
+    if argv[0] != "resolution" and "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    if env_seed is not None:
+        monkeypatch.setenv("QVERIFY_SEED", env_seed)
+    rc = run(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("configuration error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "file").is_dir()
+
+
+def test_unexpected_exception_keeps_its_traceback(tmp_path, monkeypatch):
+    # LinAlgError is a ValueError: a bug, not a configuration error
+    def broken(*args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(qverify.cli, "sweep_noise", broken)
+    with pytest.raises(np.linalg.LinAlgError):
+        run(["sweep-noise", "--out", str(tmp_path / "out")])
 
 
 class TestSweepCommands:

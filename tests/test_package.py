@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -25,3 +26,18 @@ def test_every_trace_target_resolves():
         if not callable(getattr(owner, leaf, None)):
             missing.append(f"{module}.{attr} ({name})")
     assert missing == []
+
+
+def test_cli_only_parses_arguments():
+    """The CLI imports no numpy and no private name of a library module."""
+    tree = ast.parse(Path(qverify.__file__).with_name("cli.py").read_text(encoding="utf-8"))
+    modules, private = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append(node.module or "")
+            if node.level or (node.module or "").startswith("qverify"):
+                private += [alias.name for alias in node.names if alias.name.startswith("_")]
+    numpy = [m for m in modules if m.split(".")[0] == "numpy"]
+    assert (numpy, private) == ([], [])
