@@ -98,6 +98,10 @@ def cmd_reconstruct(args) -> int:
     if given:
         where = "hardware mode" if mode == "hardware" else "--exact"
         raise InvalidParameter(f"no effect with {where}: {' '.join(given)}")
+    if mode == "strict-exact" and noise_p:  # the exact oracle is noiseless
+        raise InvalidParameter(
+            f"no effect with --exact: {args.circuit} sets noise.depolarizing_p={noise_p}"
+        )
     if mode == "hardware" and circuit.n != 2:
         raise InvalidParameter(f"hardware mode needs a 2-qubit circuit, got n={circuit.n}")
     # circuit files may embed device parameters; flags take precedence

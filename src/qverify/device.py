@@ -10,15 +10,20 @@ j-layer prefix interrupted at layer k costs (j + k) * t.
 Settings arrive as one structured table (see :func:`settings_table`): per row,
 a preparation code 0-7 into :data:`PREP_SEQUENCES` and a readout-axis code
 0-2 (X, Y, Z) for every qubit, and a shot count. Each call builds the circuit
-unitary once, then prepares, evolves, rotates and samples the settings in
+unitary once (and reuses it while consecutive calls repeat the same prefix,
+``k`` and undo), then prepares, evolves, rotates and samples the settings in
 fixed chunks of :data:`CHUNK_SETTINGS` rows (inverse CDF on one uniform draw
-per shot), so host memory stays at 2^n columns per chunk whatever the number
-of settings. Chunking does not change which uniform draw a shot reads.
+per shot). Chunking does not change which uniform draw a shot reads.
 
 Depolarizing noise is simulated with stochastic pure-state trajectories: after
 each gate of the hidden circuit, every touched qubit independently suffers a
 uniformly random non-identity Pauli with the configured probability. Prefix
 and preparation gates are exact.
+
+Host memory per chunk: without noise a chunk holds one 2^n-amplitude column
+per setting, at most 2^n x CHUNK_SETTINGS whatever the number of settings.
+With noise it holds one column per shot of the chunk's settings, so a
+hardware-style call of four settings at 8192 shots in all holds 2^n x 8192.
 """
 
 from __future__ import annotations
@@ -45,7 +50,8 @@ from .gates import BUILTIN_MATRICES
 from .rng import ensure_rng
 
 _PREP_GATES = ("X", "H", "S")
-_NOISE_PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+# indexed by error code: 0 no error, then X, Y, Z
+_NOISE_PAULIS = np.array([np.eye(2), PAULI_X, PAULI_Y, PAULI_Z], dtype=complex)
 
 # Every single-qubit preparation the device accepts (each of X, H, S at most
 # once, in that order) and the state it makes from |0>, row by row.
@@ -57,8 +63,9 @@ PREP_VECTORS = np.array(
 PREP_VECTORS.flags.writeable = False
 _READOUT = np.array([AXIS_ROTATIONS[axis] for axis in AXES])
 
-# Settings prepared, evolved and sampled together; bounds the host arrays of
-# one call at 2^n x CHUNK_SETTINGS amplitudes.
+# Settings prepared, evolved and sampled together. Bounds the host arrays of
+# one noiseless call at 2^n x CHUNK_SETTINGS amplitudes; a noisy chunk holds
+# one column per shot of its settings instead.
 CHUNK_SETTINGS = 4096
 
 SETTING_FIELDS = ("prep", "axes", "shots")
@@ -108,14 +115,6 @@ class TimeLedger:
         self.layer_count += layers * count
         self.per_shot_layers[layers] = self.per_shot_layers.get(layers, 0) + count
 
-    def __add__(self, other: "TimeLedger") -> "TimeLedger":
-        if self.t != other.t:
-            raise InvalidRequest("cannot merge ledgers with different t")
-        hist = dict(self.per_shot_layers)
-        for k, v in other.per_shot_layers.items():
-            hist[k] = hist.get(k, 0) + v
-        return TimeLedger(self.t, self.layer_count + other.layer_count, hist)
-
     def render(self) -> str:
         if self.t == 1:
             return f"{self.layer_count}t"
@@ -157,6 +156,7 @@ class Device:
         self.d = profile.d
         self.t = Fraction(profile.t)
         self.ledger = TimeLedger(t=self.t)
+        self._last_unitaries = None
 
     # -- request validation -----------------------------------------------------
 
@@ -189,6 +189,28 @@ class Device:
         u = compose_unitary(self._hidden, k) @ compose_unitary(inverse_prefix)
         return u if undo is None else layer_unitary(undo, self.n) @ u
 
+    def _call_unitaries(self, inverse_prefix: LayeredCircuit, k: int, undo: Layer | None):
+        """``(before, after)``: the unitaries a call applies around its trajectories.
+
+        Noiseless, ``before`` is :meth:`_unitary` and ``after`` is None. Noisy,
+        ``before`` is the prefix unitary and ``after`` the undo layer's (None
+        without one); the hidden layers between them run per shot.
+
+        One entry is kept. Its key is the identity of ``inverse_prefix`` and
+        ``undo`` plus the value of ``k``, so a call passing the same two
+        objects and the same ``k`` as the call before it reuses the entry.
+        Identity is sound because both are frozen and the entry holds them.
+        """
+        last = self._last_unitaries
+        if last is None or last[0] is not inverse_prefix or last[1] != k or last[2] is not undo:
+            if self._noise.depolarizing_p != 0.0:
+                after = None if undo is None else layer_unitary(undo, self.n)
+                pair = (compose_unitary(inverse_prefix), after)
+            else:
+                pair = (self._unitary(inverse_prefix, k, undo), None)
+            last = self._last_unitaries = (inverse_prefix, k, undo, pair)
+        return last[3]
+
     # -- execution -------------------------------------------------------------
 
     def execute_settings(
@@ -219,25 +241,16 @@ class Device:
         u01 = rng.random(int(counts.sum()))
         draws = np.empty(len(u01), dtype=np.int64)
         noisy = self._noise.depolarizing_p != 0.0
-        if noisy:  # the hidden layers run per shot, as trajectories
-            u = compose_unitary(inverse_prefix)
-            undo_u = None if undo is None else layer_unitary(undo, self.n)
-        else:
-            u = self._unitary(inverse_prefix, k, undo)
+        u, undo_u = self._call_unitaries(inverse_prefix, k, undo)
         ends = np.cumsum(counts)
         for a in range(0, len(counts), CHUNK_SETTINGS):
             b = min(a + CHUNK_SETTINGS, len(counts))
             lo, hi = ends[a] - counts[a], ends[b - 1]
             states = u @ _product_states(prep[a:b])
             chunk_axes, chunk_counts = axes[a:b], counts[a:b]
-            if noisy:
+            if noisy:  # the hidden layers run per shot, as trajectories
                 states = np.repeat(states, chunk_counts, axis=1)
-                start = 0
-                for c in chunk_counts.tolist():  # the noise stream runs setting by setting
-                    states[:, start : start + c] = self._trajectories(
-                        states[:, start : start + c], k, undo_u, noise_rng
-                    )
-                    start += c
+                states = self._trajectories(states, chunk_counts, k, undo_u, noise_rng)
                 chunk_axes = np.repeat(chunk_axes, chunk_counts, axis=0)
                 columns = np.arange(hi - lo)
             else:
@@ -246,21 +259,38 @@ class Device:
         self.ledger.add_shots(inverse_prefix.depth + k + (undo is not None), len(u01))
         return draws
 
-    def _trajectories(self, cols, k, undo_u, rng) -> np.ndarray:
-        """Noisy runs of the hidden layers on column states, one column per shot."""
+    def _trajectories(self, cols, counts, k, undo_u, rng) -> np.ndarray:
+        """Noisy runs of the hidden layers on column states, one column per shot.
+
+        ``counts`` splits the columns into settings, in order. The noise stream
+        is drawn first, setting by setting: for each setting of c shots, for
+        each gate of ``hidden[:k]`` in layer then block order, for each qubit
+        the gate touches, ``rng.random(c) < p`` picks the hit shots and then
+        ``rng.integers(0, 3, size=c)`` picks X, Y or Z. Each gate is then
+        applied once to every column, and each error only to its hit columns.
+        """
         n, p = self.n, self._noise.depolarizing_p
-        for layer in self._hidden.layers[:k]:
-            for block, gate in zip(layer.blocks, layer.gates):
-                cols = apply_unitary_array(cols, gate.matrix, block, n)
-                for q in block:
-                    hit = rng.random(cols.shape[1]) < p
-                    which = rng.integers(0, 3, size=cols.shape[1])
-                    for pauli_idx in range(3):
-                        mask = hit & (which == pauli_idx)
-                        if mask.any():
-                            cols[:, mask] = apply_unitary_array(
-                                cols[:, mask], _NOISE_PAULIS[pauli_idx], (q,), n
-                            )
+        gates = [
+            (block, gate)
+            for layer in self._hidden.layers[:k]
+            for block, gate in zip(layer.blocks, layer.gates)
+        ]
+        # one row per (gate, touched qubit): 0 for no error, 1-3 for X, Y, Z
+        errors = np.empty((sum(len(block) for block, _ in gates), cols.shape[1]), dtype=np.int8)
+        start = 0
+        for c in counts.tolist():
+            for row in errors[:, start : start + c]:
+                hit = rng.random(c) < p
+                row[:] = np.where(hit, rng.integers(0, 3, size=c) + 1, 0)
+            start += c
+        rows = iter(errors)
+        for block, gate in gates:
+            cols = apply_unitary_array(cols, gate.matrix, block, n)
+            for q in block:
+                row = next(rows)
+                hit = np.flatnonzero(row)
+                if len(hit):
+                    cols[:, hit] = _apply_per_column(cols[:, hit], _NOISE_PAULIS[row[hit]], q)
         return cols if undo_u is None else undo_u @ cols
 
     # -- infinite-shot oracle ----------------------------------------------------
@@ -281,17 +311,22 @@ def _product_states(prep: np.ndarray) -> np.ndarray:
     return psi
 
 
+def _apply_per_column(states: np.ndarray, mats: np.ndarray, q: int) -> np.ndarray:
+    """Apply the 2x2 matrix ``mats[j]`` to qubit q of column j of ``states``."""
+    dim, m = states.shape
+    rot = mats.transpose(1, 2, 0)
+    v = states.reshape(1 << q, 2, dim >> (q + 1), m)
+    out = np.empty_like(v)
+    for a in (0, 1):
+        np.multiply(rot[a, 0], v[:, 0], out=out[:, a])
+        out[:, a] += rot[a, 1] * v[:, 1]
+    return out.reshape(dim, m)
+
+
 def _rotate_to_z(states: np.ndarray, axes: np.ndarray) -> np.ndarray:
     """Rotate column j of ``states`` so that qubit q's axis ``axes[j, q]`` becomes Z."""
-    dim, m = states.shape
     for q in range(axes.shape[1]):
-        rot = _READOUT[axes[:, q]].transpose(1, 2, 0)
-        v = states.reshape(1 << q, 2, dim >> (q + 1), m)
-        out = np.empty_like(v)
-        for a in (0, 1):
-            np.multiply(rot[a, 0], v[:, 0], out=out[:, a])
-            out[:, a] += rot[a, 1] * v[:, 1]
-        states = out.reshape(dim, m)
+        states = _apply_per_column(states, _READOUT[axes[:, q]], q)
     return states
 
 

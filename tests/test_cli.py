@@ -183,6 +183,22 @@ class TestReconstructCommand:
         assert captured.err.rstrip().endswith(f": {ignored}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("p, rc", [(0.5, 2), (0.0, 0)], ids=["noisy", "noiseless"])
+    def test_exact_refuses_a_noisy_circuit_file(self, tmp_path, capsys, p, rc):
+        doc = json.loads(emit_circuit(demo_circuit(1)))
+        doc["noise"] = {"depolarizing_p": p}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run([
+            "reconstruct", "--circuit", str(path), "--exact", "--seed", "3", "--out", str(out),
+        ]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert err.startswith("configuration error: no effect with --exact: ")
+            assert err.rstrip().endswith("sets noise.depolarizing_p=0.5")
+        assert out.exists() == (rc == 0)
+
     def test_strict_defaults_fill_eps_and_delta(self, tmp_path, demo_file, capsys):
         default, explicit = tmp_path / "default", tmp_path / "explicit"
         base = ["reconstruct", "--circuit", str(demo_file), "--mode", "strict",

@@ -11,15 +11,27 @@ from qverify.circuits import (
     choi_state,
     compose_unitary,
     identity_circuit,
+    layer_unitary,
     random_circuit,
 )
-from qverify.core import PauliBasis, StateVec, exact_pauli_distribution
+from qverify.core import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    PauliBasis,
+    StateVec,
+    apply_unitary_array,
+    exact_pauli_distribution,
+)
 from qverify.device import (
     PREP_SEQUENCES,
     Device,
     DeviceProfile,
     NoiseConfig,
     TimeLedger,
+    _product_states,
+    _rotate_to_z,
+    _sample,
     device_time_for_learning,
     settings_table,
 )
@@ -207,6 +219,124 @@ class TestChunking:
         assert peak < 128 * 2**20, f"peak {peak / 2**20:.0f} MB"
 
 
+def per_setting_trajectories(hidden, p, prefix, k, settings, rng, ledger, undo=None):
+    """Reference: the noisy shot path that ran trajectories setting by setting.
+
+    Each setting's columns take every gate, then up to three masked Pauli
+    applications per touched qubit, drawing the noise stream as they go.
+    """
+    n = hidden.n
+    prep, axes, counts = (settings[name].astype(np.int64) for name in ("prep", "axes", "shots"))
+    noise_rng = np.random.default_rng(int(rng.integers(2**63)))
+    u01 = rng.random(int(counts.sum()))
+    states = np.repeat(compose_unitary(prefix) @ _product_states(prep), counts, axis=1)
+    start = 0
+    for c in counts.tolist():
+        cols = states[:, start : start + c]
+        for layer in hidden.layers[:k]:
+            for block, gate in zip(layer.blocks, layer.gates):
+                cols = apply_unitary_array(cols, gate.matrix, block, n)
+                for q in block:
+                    hit = noise_rng.random(c) < p
+                    which = noise_rng.integers(0, 3, size=c)
+                    for pauli_idx, pauli in enumerate((PAULI_X, PAULI_Y, PAULI_Z)):
+                        mask = hit & (which == pauli_idx)
+                        if mask.any():
+                            cols[:, mask] = apply_unitary_array(cols[:, mask], pauli, (q,), n)
+        states[:, start : start + c] = cols if undo is None else layer_unitary(undo, n) @ cols
+        start += c
+    rotated = _rotate_to_z(states, np.repeat(axes, counts, axis=0))
+    ledger.add_shots(prefix.depth + k + (undo is not None), len(u01))
+    return _sample(rotated, np.arange(len(u01)), u01)
+
+
+class TestBatchedTrajectories:
+    """One trajectory pass per chunk gives the per-setting loop's outcomes."""
+
+    @pytest.mark.parametrize("with_undo", [False, True], ids=["no-undo", "undo"])
+    def test_matches_per_setting_loop(self, with_undo):
+        c = random_circuit(3, 3, standard_gate_set(), 21)
+        prefix = random_circuit(3, 1, standard_gate_set(), 22).inverse()
+        undo = random_circuit(3, 1, standard_gate_set(), 23).layers[0] if with_undo else None
+        settings = random_table(3, 60, 24)
+        noise = NoiseConfig(depolarizing_p=0.1)
+        dev = Device(DeviceProfile(3, 3, Fraction(1), c), noise)
+        ref_ledger = TimeLedger(Fraction(1))
+        for seed in (25, 26):
+            out = dev.execute_settings(prefix, 2, settings, np.random.default_rng(seed), undo=undo)
+            ref = per_setting_trajectories(
+                c, 0.1, prefix, 2, settings, np.random.default_rng(seed), ref_ledger, undo
+            )
+            assert np.array_equal(out, ref)
+        assert dev.ledger == ref_ledger
+        clean = Device(DeviceProfile(3, 3, Fraction(1), c))
+        clean_out = clean.execute_settings(prefix, 2, settings, np.random.default_rng(26), undo=undo)
+        assert not np.array_equal(out, clean_out)
+
+
+class TestUnitaryReuse:
+    """Consecutive calls with the same prefix, k and undo share one composed unitary."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.1])
+    def test_reused_unitary_is_never_stale(self, p):
+        c = random_circuit(3, 3, standard_gate_set(), 31)
+        gs = standard_gate_set()
+        prefix_a = random_circuit(3, 1, gs, 32).inverse()
+        prefix_b = random_circuit(3, 1, gs, 33).inverse()
+        undo_a, undo_b = (random_circuit(3, 1, gs, seed).layers[0] for seed in (34, 35))
+        settings = random_table(3, 40, 36)
+
+        def device():
+            return Device(DeviceProfile(3, 3, Fraction(1), c), NoiseConfig(depolarizing_p=p))
+
+        shared = device()
+        calls = [
+            (prefix_a, 2, undo_a),
+            (prefix_b, 2, undo_a),
+            (prefix_a, 2, undo_a),
+            (prefix_a, 2, undo_b),
+            (prefix_a, 1, undo_b),
+            (prefix_a, 1, None),
+        ]
+        for seed, (prefix, k, undo) in enumerate(calls):
+            out = shared.execute_settings(prefix, k, settings, np.random.default_rng(seed), undo=undo)
+            fresh = device().execute_settings(
+                prefix, k, settings, np.random.default_rng(seed), undo=undo
+            )
+            assert np.array_equal(out, fresh)
+        # every call differs from the call before it, so a stale unitary shows
+        same_seed = [
+            device().execute_settings(prefix, k, settings, np.random.default_rng(0), undo=undo)
+            for prefix, k, undo in calls
+        ]
+        assert all(not np.array_equal(x, y) for x, y in zip(same_seed, same_seed[1:]))
+
+    @pytest.mark.parametrize("p", [0.0, 0.002])
+    def test_one_composition_per_dedicated_round(self, p, monkeypatch):
+        import qverify.device
+        from qverify.reconstruction import _dedicated_record_set
+
+        calls, composed = [], []
+        compose, execute = qverify.device.compose_unitary, Device.execute_settings
+
+        def counted_compose(*args):
+            composed.append(len(calls))
+            return compose(*args)
+
+        def counted_execute(self, *args, **kwargs):
+            calls.append(args)
+            return execute(self, *args, **kwargs)
+
+        monkeypatch.setattr(qverify.device, "compose_unitary", counted_compose)
+        monkeypatch.setattr(Device, "execute_settings", counted_execute)
+        dev, c = demo_device(3, NoiseConfig(depolarizing_p=p))
+        prefix = LayeredCircuit(2, c.layers[:2]).inverse()
+        undo = Layer(((0, 1),), (builtin_gate("CNOT").dagger(),))
+        _dedicated_record_set(dev, 3, prefix, 64, np.random.default_rng(37), undo)
+        assert len(calls) == 9
+        assert composed == [1] * (1 if p else 2)
+
+
 class TestBlackBox:
     def test_public_surface_hides_the_circuit(self):
         dev, _ = demo_device(1)
@@ -228,17 +358,6 @@ class TestDeviceTime:
     def test_fractional_t_is_exact(self):
         t = Fraction(3, 7)
         assert device_time_for_learning(4, t, 10) == Fraction(480, 7)
-
-    def test_ledger_merge(self):
-        a = TimeLedger(Fraction(1))
-        a.add_shots(3, 5)
-        b = TimeLedger(Fraction(1))
-        b.add_shots(2, 4)
-        merged = a + b
-        assert merged.layer_count == 3 * 5 + 2 * 4
-        assert merged.per_shot_layers == {3: 5, 2: 4}
-        with pytest.raises(InvalidRequest):
-            a + TimeLedger(Fraction(2))
 
 
 class TestOutcomeDistributions:
