@@ -22,8 +22,8 @@ and preparation gates are exact.
 
 Host memory per chunk: without noise a chunk holds one 2^n-amplitude column
 per setting, at most 2^n x CHUNK_SETTINGS whatever the number of settings.
-With noise it holds one column per shot of the chunk's settings, so a
-hardware-style call of four settings at 8192 shots in all holds 2^n x 8192.
+With noise it holds one more column per shot that drew at least one error;
+a shot that drew none reads its setting's column.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ _READOUT = np.array([AXIS_ROTATIONS[axis] for axis in AXES])
 
 # Settings prepared, evolved and sampled together. Bounds the host arrays of
 # one noiseless call at 2^n x CHUNK_SETTINGS amplitudes; a noisy chunk holds
-# one column per shot of its settings instead.
+# one more column per shot that drew at least one error.
 CHUNK_SETTINGS = 4096
 
 SETTING_FIELDS = ("prep", "axes", "shots")
@@ -232,7 +232,8 @@ class Device:
         ``rng.random(count)`` per setting); settings are sampled in chunks of
         :data:`CHUNK_SETTINGS` rows, each reading its slice of that draw.
         Noise never draws from ``rng``, so a seed's measurement draws are the
-        same at every noise strength.
+        same at every noise strength. A chunk evolves one column per setting,
+        plus, with noise, one per shot that drew at least one error.
         """
         self._check_circuit(inverse_prefix, k, undo)
         prep, axes, counts = self._setting_codes(settings)
@@ -247,27 +248,28 @@ class Device:
             b = min(a + CHUNK_SETTINGS, len(counts))
             lo, hi = ends[a] - counts[a], ends[b - 1]
             states = u @ _product_states(prep[a:b])
-            chunk_axes, chunk_counts = axes[a:b], counts[a:b]
-            if noisy:  # the hidden layers run per shot, as trajectories
-                states = np.repeat(states, chunk_counts, axis=1)
-                states = self._trajectories(states, chunk_counts, k, undo_u, noise_rng)
-                chunk_axes = np.repeat(chunk_axes, chunk_counts, axis=0)
-                columns = np.arange(hi - lo)
-            else:
-                columns = np.repeat(np.arange(b - a), chunk_counts)
+            chunk_axes, columns = axes[a:b], np.repeat(np.arange(b - a), counts[a:b])
+            if noisy:  # the hidden layers run as trajectories
+                states, columns, owners = self._trajectories(states, columns, k, undo_u, noise_rng)
+                chunk_axes = chunk_axes[owners]
             draws[lo:hi] = _sample(_rotate_to_z(states, chunk_axes), columns, u01[lo:hi])
         self.ledger.add_shots(inverse_prefix.depth + k + (undo is not None), len(u01))
         return draws
 
-    def _trajectories(self, cols, counts, k, undo_u, rng) -> np.ndarray:
-        """Noisy runs of the hidden layers on column states, one column per shot.
+    def _trajectories(self, cols, setting, k, undo_u, rng):
+        """Noisy runs of the hidden layers from one column state per setting.
 
-        ``counts`` splits the columns into settings, in order. The noise stream
-        is drawn first, setting by setting: for each setting of c shots, for
-        each gate of ``hidden[:k]`` in layer then block order, for each qubit
-        the gate touches, ``rng.random(c) < p`` picks the hit shots and then
-        ``rng.integers(0, 3, size=c)`` picks X, Y or Z. Each gate is then
-        applied once to every column, and each error only to its hit columns.
+        ``setting`` names each shot's setting, in order. The noise stream is
+        drawn first, setting by setting: for each setting of c shots, for each
+        gate of ``hidden[:k]`` in layer then block order, for each qubit the
+        gate touches, ``rng.random(c) < p`` picks the hit shots and then
+        ``rng.integers(0, 3, size=c)`` picks X, Y or Z. The trajectories are
+        the settings' error-free runs plus one column per shot that drew at
+        least one error. Each gate is then applied once to every column, and
+        each error only to its hit columns.
+
+        Returns ``(states, columns, owners)``: the evolved columns, the column
+        each shot reads, and the setting each column belongs to.
         """
         n, p = self.n, self._noise.depolarizing_p
         gates = [
@@ -276,13 +278,20 @@ class Device:
             for block, gate in zip(layer.blocks, layer.gates)
         ]
         # one row per (gate, touched qubit): 0 for no error, 1-3 for X, Y, Z
-        errors = np.empty((sum(len(block) for block, _ in gates), cols.shape[1]), dtype=np.int8)
+        errors = np.empty((sum(len(block) for block, _ in gates), len(setting)), dtype=np.int8)
         start = 0
-        for c in counts.tolist():
+        for c in np.bincount(setting, minlength=cols.shape[1]).tolist():
             for row in errors[:, start : start + c]:
                 hit = rng.random(c) < p
                 row[:] = np.where(hit, rng.integers(0, 3, size=c) + 1, 0)
             start += c
+        hit_shots = np.flatnonzero(errors.any(axis=0))
+        owners = np.concatenate((np.arange(cols.shape[1]), setting[hit_shots]))
+        columns = setting.copy()
+        columns[hit_shots] = np.arange(cols.shape[1], len(owners))
+        # error codes per trajectory column: none for the settings' own columns
+        errors = np.hstack((np.zeros((len(errors), cols.shape[1]), np.int8), errors[:, hit_shots]))
+        cols = cols[:, owners]
         rows = iter(errors)
         for block, gate in gates:
             cols = apply_unitary_array(cols, gate.matrix, block, n)
@@ -291,7 +300,7 @@ class Device:
                 hit = np.flatnonzero(row)
                 if len(hit):
                     cols[:, hit] = _apply_per_column(cols[:, hit], _NOISE_PAULIS[row[hit]], q)
-        return cols if undo_u is None else undo_u @ cols
+        return (cols if undo_u is None else undo_u @ cols), columns, owners
 
     # -- infinite-shot oracle ----------------------------------------------------
 

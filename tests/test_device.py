@@ -273,6 +273,64 @@ class TestBatchedTrajectories:
         clean_out = clean.execute_settings(prefix, 2, settings, np.random.default_rng(26), undo=undo)
         assert not np.array_equal(out, clean_out)
 
+    @pytest.mark.parametrize("case", ["nearly every shot hit", "zero-shot rows", "k=0 with undo"])
+    def test_distinct_trajectories_match_per_setting_loop(self, case, monkeypatch):
+        import qverify.device
+
+        c = random_circuit(3, 3, standard_gate_set(), 27)
+        prefix = random_circuit(3, 1, standard_gate_set(), 28).inverse()
+        undo = random_circuit(3, 1, standard_gate_set(), 29).layers[0]
+        settings = random_table(3, 40, 30)
+        p, k = 0.1, 2
+        if case == "nearly every shot hit":
+            p = 0.9
+        elif case == "zero-shot rows":
+            settings["shots"][[0, 1, 7, 8, 9, 39]] = 0
+        else:
+            k = 0
+        widths, rotate = [], qverify.device._rotate_to_z
+
+        def counted_rotate(states, axes):
+            widths.append(states.shape[1])
+            return rotate(states, axes)
+
+        monkeypatch.setattr(qverify.device, "_rotate_to_z", counted_rotate)
+        dev = Device(DeviceProfile(3, 3, Fraction(1), c), NoiseConfig(depolarizing_p=p))
+        ref_ledger = TimeLedger(Fraction(1))
+        for seed in (31, 32):
+            out = dev.execute_settings(prefix, k, settings, np.random.default_rng(seed), undo=undo)
+            ref = per_setting_trajectories(
+                c, p, prefix, k, settings, np.random.default_rng(seed), ref_ledger, undo
+            )
+            assert len(out) == settings["shots"].sum()
+            assert np.array_equal(out, ref)
+        assert dev.ledger == ref_ledger
+        # one column per setting, plus one per shot that drew an error
+        extra = {w - len(settings) for w in widths}
+        if case == "nearly every shot hit":
+            assert min(extra) > 0.99 * settings["shots"].sum()
+        elif case == "k=0 with undo":
+            assert extra == {0}
+
+    def test_n8_noisy_call_memory_is_bounded(self):
+        c = random_circuit(8, 3, standard_gate_set(), 41)
+        dev = Device(DeviceProfile(8, 3, Fraction(1), c), NoiseConfig(depolarizing_p=0.002))
+        gen = np.random.default_rng(42)
+        settings = settings_table(
+            gen.integers(0, len(PREP_SEQUENCES), size=(4, 8)),
+            gen.integers(0, 3, size=(4, 8)),
+            [2048] * 4,
+        )
+        tracemalloc.start()
+        try:
+            out = dev.execute_settings(identity_circuit(8), 3, settings, np.random.default_rng(43))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 8192
+        # one column per shot would be 2^8 x 8192 complex amplitudes, 32 MB a copy
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
 
 class TestUnitaryReuse:
     """Consecutive calls with the same prefix, k and undo share one composed unitary."""
