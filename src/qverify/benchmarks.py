@@ -1,77 +1,36 @@
 """Two-qubit benchmark circuits used by the demos and the verification suite.
 
-The three ``demo_circuit`` instances are fixed draws from the {H, X, Y, Z,
-CNOT} set at depths one to three; ``qft2_circuit`` is the textbook two-qubit
+The shipped files under ``data/`` are the only definition of these circuits.
+The three ``demo_d*.json`` instances are fixed draws from the {H, X, Y, Z,
+CNOT} set at depths one to three; ``qft2.json`` is the textbook two-qubit
 Fourier transform with its controlled phase and swap expanded into basic
-gates. Each experiment round is written as a slice (local gates, then the
-entangling slot) and normalized into strict layers with grouping annotations.
+gates. Each experiment round is a group of strict layers: local gates, then
+the entangling slot.
 """
 
 from __future__ import annotations
 
-import json
+from importlib import resources
 
 from .circuits import LayeredCircuit, parse_circuit
 from .gates import GateSet, qft_gate_set, standard_gate_set
 
 
-def _circuit_from_slices(n: int, slices, extra_gates=()) -> LayeredCircuit:
-    gate_set = {"singles": [], "doubles": []}
-    for gate in extra_gates:
-        kind = "singles" if gate.arity == 1 else "doubles"
-        gate_set[kind].append(
-            {
-                "name": gate.name,
-                "matrix": [[float(z.real), float(z.imag)] for z in gate.matrix.reshape(-1)],
-            }
-        )
-    doc = {"n": n, "gate_set": gate_set, "slices": slices}
-    return parse_circuit(json.dumps(doc))
+def _shipped(name: str) -> LayeredCircuit:
+    path = resources.files(__package__).joinpath(f"data/{name}.json")
+    return parse_circuit(path.read_text(encoding="utf-8"))
 
 
 def demo_circuit(depth: int) -> LayeredCircuit:
     """Fixed random-style benchmark circuit with ``depth`` experiment rounds."""
-    slices = {
-        1: [
-            [{"gate": "H", "qubits": [0]}, {"gate": "H", "qubits": [1]},
-             {"gate": "CNOT", "qubits": [0, 1]}],
-        ],
-        2: [
-            [{"gate": "X", "qubits": [0]}, {"gate": "H", "qubits": [1]},
-             {"gate": "CNOT", "qubits": [0, 1]}],
-            [{"gate": "H", "qubits": [0]}, {"gate": "X", "qubits": [1]},
-             {"gate": "CNOT", "qubits": [1, 0]}],
-        ],
-        3: [
-            [{"gate": "Y", "qubits": [0]}, {"gate": "H", "qubits": [1]},
-             {"gate": "CNOT", "qubits": [0, 1]}],
-            [{"gate": "X", "qubits": [0]}, {"gate": "X", "qubits": [1]}],
-            [{"gate": "Y", "qubits": [0]}, {"gate": "Y", "qubits": [1]},
-             {"gate": "CNOT", "qubits": [1, 0]}],
-        ],
-    }
-    if depth not in slices:
+    if depth not in (1, 2, 3):
         raise ValueError(f"demo circuits exist for depths 1-3, not {depth}")
-    return _circuit_from_slices(2, slices[depth])
+    return _shipped(f"demo_d{depth}")
 
 
 def qft2_circuit() -> LayeredCircuit:
     """Two-qubit Fourier transform in five experiment rounds."""
-    gs = qft_gate_set()
-    rz4dg = gs.single("Rz(pi/4)†")
-    name = rz4dg.name
-    slices = [
-        [{"gate": "H", "qubits": [0]}, {"gate": name, "qubits": [0]},
-         {"gate": "CNOT", "qubits": [0, 1]}],
-        [{"gate": name, "qubits": [0]},
-         {"gate": "CNOT", "qubits": [0, 1]}],
-        [{"gate": "Rz(pi/2)", "qubits": [0]}, {"gate": "T", "qubits": [1]},
-         {"gate": "H", "qubits": [1]},
-         {"gate": "CNOT", "qubits": [0, 1]}],
-        [{"gate": "CNOT", "qubits": [1, 0]}],
-        [{"gate": "CNOT", "qubits": [0, 1]}],
-    ]
-    return _circuit_from_slices(2, slices, extra_gates=(rz4dg,))
+    return _shipped("qft2")
 
 
 def benchmark_suite() -> list[tuple[str, LayeredCircuit, GateSet]]:

@@ -40,7 +40,6 @@ from .errors import (
     UnknownGateName,
 )
 from .gates import BUILTIN_MATRICES, Gate, GateSet, builtin_gate, choi_distance
-from .rng import ensure_rng
 
 
 @dataclass(frozen=True)
@@ -155,16 +154,11 @@ def compose_unitary(circuit: LayeredCircuit, upto: int | None = None) -> np.ndar
 
 
 def choi_state(u: np.ndarray, n: int) -> StateVec:
-    """(u x I) applied to n Bell pairs; wire i is paired with wire i+n."""
+    """(u x I) on n Bell pairs, wire i paired with i+n: the entries of u / 2^(n/2)."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (1 << n, 1 << n):
         raise NonUnitary(f"matrix shape {u.shape} does not act on {n} qubits")
-    amp = np.zeros(1 << (2 * n), dtype=complex)
-    scale = 2 ** (-n / 2)
-    for i in range(1 << n):
-        amp[(i << n) | i] = scale
-    amp = apply_unitary_array(amp, u, tuple(range(n)), 2 * n)
-    return StateVec(2 * n, amp)
+    return StateVec(2 * n, u.reshape(-1) * 2 ** (-n / 2))
 
 
 # -- file I/O -------------------------------------------------------------------
@@ -213,6 +207,8 @@ def _gate_lookup(spec_sets, where: str) -> dict[str, Gate]:
             name = _shaped(entry, dict, loc).get("name")
             if not isinstance(name, str):
                 raise CircuitSyntaxError("gate entry without a name", loc)
+            if name in table:
+                raise CircuitSyntaxError(f"duplicate gate name {name!r}", loc)
             if "matrix" in entry:
                 m = _matrix_from_json(entry["matrix"], loc)
                 gate = Gate(name, arity, m)
@@ -420,7 +416,7 @@ def emit_circuit(circuit: LayeredCircuit) -> str:
 
 def random_layer(n: int, gate_set: GateSet, rng) -> Layer:
     """Random strict layer: random matching into pairs, random gates."""
-    rng = ensure_rng(rng)
+    rng = np.random.default_rng(rng)
     order = list(rng.permutation(n))
     blocks: list[tuple[int, ...]] = []
     gates: list[Gate] = []
@@ -439,7 +435,7 @@ def random_layer(n: int, gate_set: GateSet, rng) -> Layer:
 
 
 def random_circuit(n: int, d: int, gate_set: GateSet, rng) -> LayeredCircuit:
-    rng = ensure_rng(rng)
+    rng = np.random.default_rng(rng)
     return LayeredCircuit(n, tuple(random_layer(n, gate_set, rng) for _ in range(d)))
 
 

@@ -92,7 +92,9 @@ def cmd_reconstruct(args) -> int:
     seed = _seed(args.seed)
     circuit, t, noise_p = parse_circuit_file(_read(args.circuit))
     gs = _gate_set(args.gateset)
-    mode = "strict-exact" if args.exact else args.mode
+    if args.exact and args.mode == "hardware":
+        raise InvalidParameter("--exact runs the strict-exact estimator, not hardware mode")
+    mode = "strict-exact" if args.exact else args.mode or "hardware"
     given = [f"--{name.replace('_', '-')}" for name in _IGNORED.get(mode, ())
              if getattr(args, name) is not None]
     if given:
@@ -102,8 +104,6 @@ def cmd_reconstruct(args) -> int:
         raise InvalidParameter(
             f"no effect with --exact: {args.circuit} sets noise.depolarizing_p={noise_p}"
         )
-    if mode == "hardware" and circuit.n != 2:
-        raise InvalidParameter(f"hardware mode needs a 2-qubit circuit, got n={circuit.n}")
     # circuit files may embed device parameters; flags take precedence
     if args.t is not None:
         try:
@@ -192,7 +192,8 @@ def main(argv=None) -> int:
     p.add_argument("--eps", type=float, default=None, help="strict modes only (default 0.2)")
     p.add_argument("--delta", type=float, default=None, help="strict mode only (default 0.05)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--mode", choices=["strict", "hardware"], default="hardware")
+    p.add_argument("--mode", choices=["strict", "hardware"], default=None,
+                   help="default hardware; --exact implies strict")
     p.add_argument("--exact", action="store_true", help="infinite-shot oracle estimator")
     p.add_argument("--noise-p", type=float, default=None)
     p.add_argument("--t", default=None)

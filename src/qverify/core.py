@@ -1,4 +1,4 @@
-"""Dense complex linear algebra, pure-state simulation, and Pauli readout.
+"""Gate-matrix table, dense complex linear algebra, pure-state simulation, Pauli readout.
 
 Conventions used throughout the package:
 
@@ -29,17 +29,39 @@ from .errors import (
 
 ATOL = 1e-9
 
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+_SQ2 = 1 / np.sqrt(2)
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_SDG = np.array([[1, 0], [0, -1j]], dtype=complex)
+
+def _rz(theta: float) -> np.ndarray:
+    return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)]).astype(complex)
+
+
+# The one table of fixed gate matrices; every other constant below reads it.
+BUILTIN_MATRICES: dict[str, np.ndarray] = {
+    "I": np.eye(2, dtype=complex),
+    "H": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.diag([1, -1]).astype(complex),
+    "S": np.diag([1, 1j]).astype(complex),
+    "T": np.diag([1, np.exp(0.25j * np.pi)]).astype(complex),
+    "Rz(pi/4)": _rz(np.pi / 4),
+    "Rz(pi/2)": _rz(np.pi / 2),
+    "CNOT": np.array(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+    ),
+}
+for _m in BUILTIN_MATRICES.values():
+    _m.flags.writeable = False
+
+PAULIS = {name: BUILTIN_MATRICES[name] for name in "IXYZ"}
 
 # V |(+1 eigenstate)> = |0>; for Y this is H applied after S-dagger.
-AXIS_ROTATIONS = {"X": _H, "Y": _H @ _SDG, "Z": np.eye(2, dtype=complex)}
+AXIS_ROTATIONS = {
+    "X": BUILTIN_MATRICES["H"],
+    "Y": BUILTIN_MATRICES["H"] @ BUILTIN_MATRICES["S"].conj().T,
+    "Z": BUILTIN_MATRICES["I"],
+}
 
 AXES = ("X", "Y", "Z")
 

@@ -36,22 +36,12 @@ from itertools import combinations
 import numpy as np
 
 from .circuits import Layer, LayeredCircuit, choi_state, compose_unitary, layer_unitary
-from .core import (
-    AXES,
-    AXIS_ROTATIONS,
-    StateVec,
-    apply_unitary_array,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-)
+from .core import AXES, AXIS_ROTATIONS, BUILTIN_MATRICES, PAULIS, StateVec, apply_unitary_array
 from .errors import InvalidRequest
-from .gates import BUILTIN_MATRICES
-from .rng import ensure_rng
 
 _PREP_GATES = ("X", "H", "S")
 # indexed by error code: 0 no error, then X, Y, Z
-_NOISE_PAULIS = np.array([np.eye(2), PAULI_X, PAULI_Y, PAULI_Z], dtype=complex)
+_NOISE_PAULIS = np.array([PAULIS[name] for name in "IXYZ"])
 
 # Every single-qubit preparation the device accepts (each of X, H, S at most
 # once, in that order) and the state it makes from |0>, row by row.
@@ -237,7 +227,7 @@ class Device:
         """
         self._check_circuit(inverse_prefix, k, undo)
         prep, axes, counts = self._setting_codes(settings)
-        rng = ensure_rng(rng)
+        rng = np.random.default_rng(rng)
         noise_rng = np.random.default_rng(int(rng.integers(2**63)))
         u01 = rng.random(int(counts.sum()))
         draws = np.empty(len(u01), dtype=np.int64)

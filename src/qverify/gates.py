@@ -11,34 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import is_unitary
+from .core import BUILTIN_MATRICES, is_unitary
 from .errors import ArityMismatch, EmptyGateSet, NonUnitary, UnknownGateName
-
-_SQ2 = 1 / np.sqrt(2)
 
 _SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
-
-
-def _rz(theta: float) -> np.ndarray:
-    return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)]).astype(complex)
-
-
-BUILTIN_MATRICES: dict[str, np.ndarray] = {
-    "I": np.eye(2, dtype=complex),
-    "H": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.diag([1, -1]).astype(complex),
-    "S": np.diag([1, 1j]).astype(complex),
-    "T": np.diag([1, np.exp(0.25j * np.pi)]).astype(complex),
-    "Rz(pi/4)": _rz(np.pi / 4),
-    "Rz(pi/2)": _rz(np.pi / 2),
-    "CNOT": np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -135,12 +113,11 @@ def standard_gate_set() -> GateSet:
 def qft_gate_set() -> GateSet:
     """Single-qubit phases used by the two-qubit Fourier-transform demo."""
     cnot = builtin_gate("CNOT")
-    rz4dg = Gate("Rz(pi/4)†", 1, _rz(np.pi / 4).conj().T)
     return GateSet(
         singles=(
             builtin_gate("I"),
             builtin_gate("H"),
-            rz4dg,
+            builtin_gate("Rz(pi/4)").dagger(),
             builtin_gate("Rz(pi/2)"),
             builtin_gate("T"),
         ),

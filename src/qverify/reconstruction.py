@@ -24,13 +24,10 @@ from itertools import product
 import numpy as np
 
 from .circuits import (
-    Layer,
-    LayeredCircuit,
-    choi_state,
-    emit_circuit,
-    layer_unitary,
+    Layer, LayeredCircuit, choi_state, compose_unitary, emit_circuit, layer_unitary,
 )
 from .core import (
+    AXES,
     DensityMatrix,
     PauliBasis,
     partial_trace_array,
@@ -51,11 +48,9 @@ from .errors import (
     TieWarning,
 )
 from .gates import Gate, GateSet, gates_equivalent
-from .rng import ensure_rng, stream
+from .rng import stream
 from .resolution import cached_resolution
 from .tomography import RecordSet, RdmEstimate, estimate_window, pair_windows, project_to_physical
-
-AXES_STR = "XYZ"
 
 # A register purity below this marks an entangling gate (hardware mode and
 # the continuous-gate noise sweep).
@@ -88,14 +83,14 @@ def prep_gate_names(axis: str, outcome: int) -> tuple[str, ...]:
 # One qubit's preparation code (a row of PREP_SEQUENCES), indexed by
 # 2 * ancilla axis code + outcome bit (bit 0 is the +1 outcome).
 _ANCILLA_PREP = np.array(
-    [PREP_SEQUENCES.index(prep_gate_names(a, 1 - 2 * bit)) for a in AXES_STR for bit in (0, 1)],
+    [PREP_SEQUENCES.index(prep_gate_names(a, 1 - 2 * bit)) for a in AXES for bit in (0, 1)],
     dtype=np.int8,
 )
 
 
 def prep_state(axis: str, outcome: int) -> np.ndarray:
     """Single-qubit state produced by :func:`prep_gate_names` on |0>."""
-    return PREP_VECTORS[_ANCILLA_PREP[2 * AXES_STR.index(axis) + (outcome == -1)]].copy()
+    return PREP_VECTORS[_ANCILLA_PREP[2 * AXES.index(axis) + (outcome == -1)]].copy()
 
 
 def exact_pseudo_joint(
@@ -110,8 +105,8 @@ def exact_pseudo_joint(
     n = len(ancilla)
     outcomes = list(product((1, -1), repeat=n))  # qubit 0 most significant
     bits = (np.array(outcomes) == -1).reshape(-1, n)
-    anc_axes = np.array([AXES_STR.index(a) for a in ancilla.axes])
-    pri_axes = np.array([AXES_STR.index(a) for a in principal.axes])
+    anc_axes = np.array([AXES.index(a) for a in ancilla.axes])
+    pri_axes = np.array([AXES.index(a) for a in principal.axes])
     phi = u @ _product_states(_ANCILLA_PREP[2 * anc_axes + bits])
     probs = np.abs(_rotate_to_z(phi, np.broadcast_to(pri_axes, bits.shape))) ** 2
     p_xa = 2.0**-n
@@ -298,7 +293,7 @@ def _shot_record_set(
     them, which no estimator depends on.
     """
     n = device.n
-    rng = ensure_rng(rng)
+    rng = np.random.default_rng(rng)
     # ancilla axes, ancilla outcome bits, principal axes, drawn in that order
     rows = np.hstack(
         [rng.integers(0, radix, size=(shots, n)).astype(np.int8) for radix in (3, 2, 3)]
@@ -444,19 +439,17 @@ def _fill_window_diagnostics(report: LayerReport, layer: Layer, n: int, by_pair:
             est.matrix.entries, window_ideal
         )
         for q, pos in ((i, 0), (j, 1)):
-            key = str(q)
-            if key in report.purities:
-                continue
-            est_marg = _register_marginal(est.matrix.entries, pos)
-            ideal_marg = _register_marginal(window_ideal, pos)
-            report.purities[key] = float(np.einsum("ij,ji->", est_marg, est_marg).real)
-            report.purities_theory[key] = float(
-                np.einsum("ij,ji->", ideal_marg, ideal_marg).real
-            )
-            report.fidelities[key] = relative_fidelity_array(est_marg, ideal_marg)
-            report.distances.setdefault(
-                key, trace_distance_array(est_marg, ideal_marg)
-            )
+            if str(q) not in report.purities:
+                est_marg = _register_marginal(est.matrix.entries, pos)
+                _register_row(report, str(q), est_marg, _register_marginal(window_ideal, pos))
+
+
+def _register_row(report: LayerReport, key: str, est: np.ndarray, ideal: np.ndarray) -> None:
+    """Purity, theory purity, relative fidelity and (unless a match set it) distance."""
+    report.purities[key] = float(np.einsum("ij,ji->", est, est).real)
+    report.purities_theory[key] = float(np.einsum("ij,ji->", ideal, ideal).real)
+    report.fidelities[key] = relative_fidelity_array(est, ideal)
+    report.distances.setdefault(key, trace_distance_array(est, ideal))
 
 
 def learn_single(
@@ -469,10 +462,18 @@ def learn_single(
     rng,
     mode: str = "shots",
 ) -> Layer:
-    """Reconstruct the layer reached at interruption point ``k``."""
+    """Reconstruct the layer reached at interruption point ``k``; needs n >= 2."""
+    _check_qubits(device.n, "strict")
     _warn_eps(gs, eps)
     layer, _, _ = _learn_single_full(device, k, inverse_prefix, shots, gs, eps, rng, mode)
     return layer
+
+
+def _check_qubits(n: int, mode: str) -> None:
+    """Strict learning reads pair windows (n >= 2); hardware mode is two-qubit only."""
+    if n < 2 or (mode == "hardware" and n != 2):
+        need = "exactly" if mode == "hardware" else "at least"
+        raise InvalidParameter(f"{mode} mode needs {need} 2 qubits, got n={n}")
 
 
 def _warn_eps(gs: GateSet, eps: float) -> None:
@@ -527,7 +528,7 @@ def _dedicated_record_set(
 ) -> RecordSet:
     """One tomography round with the nine dedicated (principal, ancilla) settings."""
     n = device.n
-    rng = ensure_rng(rng)
+    rng = np.random.default_rng(rng)
     rounds = []
     for p_ax, a_ax in product(range(3), range(3)):
         anc_outs01 = rng.integers(0, 2, size=(shots_per_setting, n))
@@ -549,9 +550,7 @@ def _learn_layer_hardware(
     rng,
 ) -> tuple[list[Layer], LayerReport]:
     n = device.n
-    if n != 2:
-        raise ReconstructionError("hardware-style learning supports exactly 2 qubits")
-    rng = ensure_rng(rng)
+    rng = np.random.default_rng(rng)
     rs1 = _dedicated_record_set(device, k, prefix, shots_per_setting, rng, undo=None)
     raw1 = [estimate_window(rs1, (q, q + n)).matrix for q in range(n)]
     regs1 = [project_to_physical(m) for m in raw1]
@@ -627,19 +626,11 @@ def _identify_entangler(device, k, prefix, shots_per_setting, gs, rng, regs1):
 
 def _fill_register_diagnostics(report, layers, n, raw1) -> None:
     """Compare raw round-one marginals with the reconstructed layer's ideal ones."""
-    u = np.eye(1 << n, dtype=complex)
-    for layer in layers:
-        u = layer_unitary(layer, n) @ u
-    ideal = choi_state(u, n).amplitudes
+    ideal = choi_state(compose_unitary(LayeredCircuit(n, tuple(layers))), n).amplitudes
     for q in range(n):
-        key = str(q)
-        ideal_marg = pure_marginal_array(ideal, [q, q + n], 2 * n)
-        report.purities[key] = purity(raw1[q])
-        report.purities_theory[key] = float(
-            np.einsum("ij,ji->", ideal_marg, ideal_marg).real
+        _register_row(
+            report, str(q), raw1[q].entries, pure_marginal_array(ideal, [q, q + n], 2 * n)
         )
-        report.fidelities[key] = relative_fidelity_array(raw1[q].entries, ideal_marg)
-        report.distances[key] = trace_distance_array(raw1[q].entries, ideal_marg)
 
 
 # -- multi-layer learning -------------------------------------------------------------
@@ -658,7 +649,8 @@ def learn_multi(
     ``mode`` is "strict" (random-setting overlapping tomography, Choi-state
     matching), "strict-exact" (same assembly driven by the infinite-shot
     oracle), or "hardware" (dedicated settings, purity detection, residual
-    search); any other mode raises InvalidParameter before the device runs.
+    search); any other mode raises InvalidParameter before the device runs,
+    as does a device of n < 2 qubits, or of n != 2 in hardware mode.
     ``shots`` counts shots per layer in strict mode and shots per setting per
     round in hardware mode; strict-exact ignores it. ``shots < 1`` where shots
     are drawn, or ``eps <= 0`` where it is the matching tolerance, also raises
@@ -666,6 +658,7 @@ def learn_multi(
     """
     if mode not in ("strict", "strict-exact", "hardware"):
         raise InvalidParameter(f"unknown mode {mode!r}: use strict, strict-exact or hardware")
+    _check_qubits(device.n, mode)
     if mode in ("strict", "hardware") and shots < 1:
         raise InvalidParameter(f"shots={shots} must be at least 1 in {mode} mode")
     if mode in ("strict", "strict-exact") and not eps > 0:

@@ -17,9 +17,3 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     """PCG64 generator for root ``seed``, optionally derived along ``key``."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
-
-def ensure_rng(rng: int | np.random.Generator | None) -> np.random.Generator:
-    """Accept a seed, an existing generator, or None (fresh entropy)."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)

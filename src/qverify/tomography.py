@@ -34,7 +34,6 @@ import numpy as np
 
 from .core import DensityMatrix, PAULIS
 from .errors import InvalidParameter, WindowSizeMismatch
-from .rng import ensure_rng
 
 PAULI_LETTERS = "IXYZ"
 
@@ -51,21 +50,19 @@ def required_samples(
     eps: float,
     delta: float,
     scale: float = 1.0,
-    windows: int | None = None,
 ) -> int:
     """Shots guaranteeing eps-accurate m-wire windows with probability 1-delta.
 
     ``ceil(scale * 2^5 * 10^m * eps^-2 * ln(2 d W / delta))`` with natural log,
-    where W defaults to C(n,2) pair windows for m=4 (the Choi-marginal case,
-    with the failure budget split over d layers) and to C(n,m) otherwise.
+    where W is C(n,2) pair windows for m=4 (the Choi-marginal case, with the
+    failure budget split over d layers) and C(n,m) otherwise.
     ``scale < 1`` trades the guarantee for desk-scale feasibility and warns.
     """
     if m < 1 or n < 1 or d < 1:
         raise InvalidParameter(f"m={m}, n={n}, d={d} must be positive")
     if eps <= 0 or not (0 < delta < 1) or scale <= 0:
         raise InvalidParameter(f"eps={eps}, delta={delta}, scale={scale} out of range")
-    if windows is None:
-        windows = math.comb(n, 2) if m == 4 else math.comb(n, m)
+    windows = math.comb(n, 2) if m == 4 else math.comb(n, m)
     if windows < 1:
         raise InvalidParameter(f"no windows of size {m} on {n} qubits")
     if scale < 1.0:
@@ -294,7 +291,7 @@ def perturb_matrix(matrix: np.ndarray, gamma: int, rng) -> np.ndarray:
     """
     if gamma == 0:
         return matrix
-    rng = ensure_rng(rng)
+    rng = np.random.default_rng(rng)
     dim = matrix.shape[0]
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = (a + a.conj().T) / 2

@@ -241,18 +241,41 @@ class TestCircuitFiles:
         assert np.allclose(c.layers[0].gates[0].matrix, m)
 
     def test_slices_normalize_with_groups(self):
-        c = demo_circuit(3)
+        slices = [
+            [{"gate": "Y", "qubits": [0]}, {"gate": "H", "qubits": [1]},
+             {"gate": "CNOT", "qubits": [0, 1]}],
+            [{"gate": "X", "qubits": [0]}, {"gate": "X", "qubits": [1]}],
+            [{"gate": "Y", "qubits": [0]}, {"gate": "Y", "qubits": [1]},
+             {"gate": "CNOT", "qubits": [1, 0]}],
+        ]
+        c = parse_circuit(json.dumps({"n": 2, "slices": slices}))
         assert c.depth == 6
         assert c.groups == ((0, 1), (2, 3), (4, 5))
         # second round has no entangling gate: an identity slot is kept
         names = [tuple(g.name for g in layer.gates) for layer in c.layers]
         assert names[2] == ("X", "X")
         assert names[3] == ("I", "I")
+        assert emit_circuit(c) == emit_circuit(demo_circuit(3))
 
     def test_qft_slices(self):
-        c = qft2_circuit()
+        rz4dg = qft_gate_set().single("Rz(pi/4)†")
+        entries = [[float(z.real), float(z.imag)] for z in rz4dg.matrix.reshape(-1)]
+        name = rz4dg.name
+        slices = [
+            [{"gate": "H", "qubits": [0]}, {"gate": name, "qubits": [0]},
+             {"gate": "CNOT", "qubits": [0, 1]}],
+            [{"gate": name, "qubits": [0]}, {"gate": "CNOT", "qubits": [0, 1]}],
+            [{"gate": "Rz(pi/2)", "qubits": [0]}, {"gate": "T", "qubits": [1]},
+             {"gate": "H", "qubits": [1]}, {"gate": "CNOT", "qubits": [0, 1]}],
+            [{"gate": "CNOT", "qubits": [1, 0]}],
+            [{"gate": "CNOT", "qubits": [0, 1]}],
+        ]
+        doc = {"n": 2, "gate_set": {"singles": [{"name": name, "matrix": entries}]},
+               "slices": slices}
+        c = parse_circuit(json.dumps(doc))
         assert c.depth == 10
         assert len(c.groups) == 5
+        assert emit_circuit(c) == emit_circuit(qft2_circuit())
 
     def test_groups_must_partition(self):
         layer = simple_layer(("H", (0,)))
@@ -275,6 +298,7 @@ class TestCircuitFiles:
             {"gate_set": []},
             {"gate_set": {"singles": {}}},
             {"gate_set": {"singles": [5]}},
+            {"gate_set": {"singles": [{"name": "H"}, {"name": "H"}]}},
             {"slices": 5},
             {"noise": 3},
             {"noise": {"depolarizing_p": "high"}},
@@ -308,7 +332,16 @@ class TestGateSetFiles:
         assert np.allclose(gs.single("G").matrix, X)
         assert [g.name for g in gs.doubles] == ["CNOT"]
 
-    @pytest.mark.parametrize("text", ["[]", "5", "{bad", '{"singles": [{"matrix": []}]}'])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            "5",
+            "{bad",
+            '{"singles": [{"matrix": []}]}',
+            '{"singles": [{"name": "H"}, {"name": "H", "matrix": [[0, 0], [1, 0], [1, 0], [0, 0]]}]}',
+        ],
+    )
     def test_wrong_shape_is_syntax_error(self, text):
         with pytest.raises(CircuitSyntaxError):
             parse_gate_set(text)

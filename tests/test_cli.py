@@ -1,5 +1,4 @@
 import json
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -20,19 +19,6 @@ def demo_file(tmp_path):
     path = tmp_path / "demo_d1.json"
     path.write_text(emit_circuit(demo_circuit(1)), encoding="utf-8")
     return path
-
-
-class TestShippedData:
-    def test_data_files_match_builders(self):
-        names = {
-            "demo_d1.json": demo_circuit(1),
-            "demo_d2.json": demo_circuit(2),
-            "demo_d3.json": demo_circuit(3),
-            "qft2.json": qft2_circuit(),
-        }
-        for filename, circuit in names.items():
-            text = resources.files("qverify").joinpath(f"data/{filename}").read_text()
-            assert parse_circuit(text) == circuit
 
 
 class TestReconstructCommand:
@@ -124,13 +110,16 @@ class TestReconstructCommand:
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
 
-    def test_hardware_mode_off_two_qubits_is_config_error(self, tmp_path, capsys):
-        path = tmp_path / "n3.json"
-        path.write_text(emit_circuit(random_circuit(3, 1, standard_gate_set(), 4)), encoding="utf-8")
+    @pytest.mark.parametrize(
+        "n, flags",
+        [(3, ["--mode", "hardware"]), (1, ["--mode", "strict"]), (1, ["--exact"])],
+        ids=["n3-hardware", "n1-strict", "n1-exact"],
+    )
+    def test_hardware_mode_off_two_qubits_is_config_error(self, tmp_path, capsys, n, flags):
+        path = tmp_path / "c.json"
+        path.write_text(emit_circuit(random_circuit(n, 1, standard_gate_set(), 4)), encoding="utf-8")
         out = tmp_path / "out"
-        rc = run([
-            "reconstruct", "--circuit", str(path), "--mode", "hardware", "--out", str(out),
-        ])
+        rc = run(["reconstruct", "--circuit", str(path), "--out", str(out)] + flags)
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
@@ -144,9 +133,10 @@ class TestReconstructCommand:
             ["--mode", "strict", "--delta", "2"],
             ["--exact", "--eps", "0"],
             ["--t", "0"],
+            ["--mode", "hardware", "--exact"],
         ],
         ids=["hardware-shots-0", "strict-shots-neg", "strict-eps-0", "strict-delta-2",
-             "exact-eps-0", "t-0"],
+             "exact-eps-0", "t-0", "hardware-exact"],
     )
     def test_bad_parameters_are_config_errors(self, tmp_path, demo_file, capsys, flags):
         out = tmp_path / "out"

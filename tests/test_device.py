@@ -15,9 +15,7 @@ from qverify.circuits import (
     random_circuit,
 )
 from qverify.core import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
+    PAULIS,
     PauliBasis,
     StateVec,
     apply_unitary_array,
@@ -239,7 +237,7 @@ def per_setting_trajectories(hidden, p, prefix, k, settings, rng, ledger, undo=N
                 for q in block:
                     hit = noise_rng.random(c) < p
                     which = noise_rng.integers(0, 3, size=c)
-                    for pauli_idx, pauli in enumerate((PAULI_X, PAULI_Y, PAULI_Z)):
+                    for pauli_idx, pauli in enumerate(PAULIS[c] for c in "XYZ"):
                         mask = hit & (which == pauli_idx)
                         if mask.any():
                             cols[:, mask] = apply_unitary_array(cols[:, mask], pauli, (q,), n)

@@ -323,6 +323,23 @@ class TestLearnMulti:
         assert dev.ledger.layer_count == 0
         assert dev.ledger.per_shot_layers == {}
 
+    @pytest.mark.parametrize(
+        "n, mode",
+        [(1, "strict"), (1, "strict-exact"), (1, "hardware"), (3, "hardware")],
+    )
+    def test_qubit_count_rejected_before_device_work(self, n, mode):
+        dev = device_for(random_circuit(n, 2, standard_gate_set(), 5))
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidParameter, match=f"got n={n}"):
+            learn_multi(dev, 1000, standard_gate_set(), 0.22, rng, mode=mode)
+        assert rng.bit_generator.state == state
+        assert dev.ledger.layer_count == 0
+        if mode != "hardware":
+            with pytest.raises(InvalidParameter, match=f"got n={n}"):
+                learn_single(dev, 1, identity_circuit(n), 1000, standard_gate_set(), 0.22, rng)
+            assert dev.ledger.layer_count == 0
+
     @staticmethod
     def _exact_run_peak(n: int, seed: int):
         """learn_multi in strict-exact mode on a random d=3 circuit, traced."""
