@@ -47,7 +47,6 @@ from .tomography import (
     RdmEstimate,
     RecordSet,
     estimate_pauli_coefficient,
-    pauli_tomo,
     project_to_physical,
     required_samples,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "RdmEstimate",
     "RecordSet",
     "estimate_pauli_coefficient",
-    "pauli_tomo",
     "project_to_physical",
     "required_samples",
     "ReconstructionReport",

@@ -32,7 +32,7 @@ from .circuits import emit_circuit, parse_circuit_file, parse_gate_set, random_c
 from .device import Device, DeviceProfile, NoiseConfig
 from .errors import DegenerateGateSet, InvalidParameter, QVerifyError, ReconstructionError
 from .gates import GateSet, qft_gate_set, standard_gate_set
-from .reconstruction import format_float, learn_multi
+from .reconstruction import check_learn_parameters, format_float, learn_multi
 from .resolution import (
     closest_pair, enumerate_config_classes, gate_set_resolution, raw_class_counts,
 )
@@ -113,10 +113,11 @@ def cmd_reconstruct(args) -> int:
     noise = NoiseConfig(depolarizing_p=noise_p if args.noise_p is None else args.noise_p)
     device = Device(DeviceProfile(circuit.n, circuit.depth, t, circuit), noise)
     eps = None if mode == "hardware" else 0.2 if args.eps is None else args.eps
+    check_learn_parameters(circuit.n, args.shots, eps, mode)  # before any note is printed
     if mode == "strict":
         delta = 0.05 if args.delta is None else args.delta
-        bound = required_samples(4, max(circuit.n, 2), max(circuit.depth, 1), eps, delta)
-        if 0 < args.shots < bound:
+        bound = required_samples(4, circuit.n, max(circuit.depth, 1), eps, delta)
+        if args.shots < bound:
             print(
                 f"note: {args.shots} shots per layer is a desk-scale run; the "
                 f"eps={eps}, delta={delta} guarantee asks for {bound}"

@@ -271,15 +271,33 @@ def _run_settings(device: Device, k: int, prefix: LayeredCircuit, rows, counts, 
     """Run ``counts[i]`` shots of the setting in row i of ``rows``.
 
     A row holds the ancilla axes, ancilla outcome bits and principal axes, n
-    codes each. Returns the (shots, 2n) bases and +1/-1 outcomes, grouped by
-    setting in row order.
+    codes each. Returns the (shots, 2n) wire digits of :class:`RecordSet`,
+    grouped by setting in row order.
     """
     n = device.n
     anc_axes, anc_outs01, pri_axes = rows[:, :n], rows[:, n : 2 * n], rows[:, 2 * n :]
-    settings = settings_table(_ANCILLA_PREP[2 * anc_axes + anc_outs01], pri_axes, counts)
-    pri_bits = _index_bits(device.execute_settings(prefix, k, settings, rng, undo=undo), n)
-    bits = np.hstack([pri_bits, np.repeat(anc_outs01, counts, axis=0)])
-    return np.repeat(np.hstack([pri_axes, anc_axes]), counts, axis=0), 1 - 2 * bits
+    anc_digits = 2 * anc_axes + anc_outs01
+    settings = settings_table(_ANCILLA_PREP[anc_digits], pri_axes, counts)
+    indices = device.execute_settings(prefix, k, settings, rng, undo=undo)
+    digits = np.repeat(np.hstack([2 * pri_axes, anc_digits]), counts, axis=0)
+    for q in range(n):  # qubit 0 is the most significant bit of an index
+        digits[:, q] += ((indices >> (n - 1 - q)) & 1).astype(np.int8)
+    return digits
+
+
+def _setting_codes(rng, shots: int, n: int) -> np.ndarray:
+    """One mixed-radix code per shot of a uniformly random setting.
+
+    Ancilla axes, ancilla outcome bits and principal axes are drawn in that
+    order, n columns each, and packed column by column, first column most
+    significant.
+    """
+    code = np.zeros(shots, dtype=np.int64)
+    for radix in (3, 2, 3):
+        for column in rng.integers(0, radix, size=(shots, n)).T:
+            code *= radix
+            code += column
+    return code
 
 
 def _shot_record_set(
@@ -294,21 +312,22 @@ def _shot_record_set(
     """
     n = device.n
     rng = np.random.default_rng(rng)
-    # ancilla axes, ancilla outcome bits, principal axes, drawn in that order
-    rows = np.hstack(
-        [rng.integers(0, radix, size=(shots, n)).astype(np.int8) for radix in (3, 2, 3)]
-    )
-    # mixed-radix packing so deduplication runs on a flat integer array; the
-    # code identifies its row, so each distinct row is decoded back from it
+    # deduplication runs on flat codes; a code identifies its row, so each
+    # distinct row is decoded back from it. Both branches give the distinct
+    # codes in ascending order; counting every code is faster while the 18^n
+    # of them are no more than the shots.
+    code = _setting_codes(rng, shots, n)
+    if 18**n <= shots:
+        counts = np.bincount(code, minlength=18**n)
+        code = np.flatnonzero(counts)
+        counts = counts[code]
+    else:
+        code, counts = np.unique(code, return_counts=True)
     radices = np.repeat([3, 2, 3], n)
-    code = np.zeros(shots, dtype=np.int64)
-    for column, radix in zip(rows.T, radices):
-        code = code * radix + column
-    code, counts = np.unique(code, return_counts=True)
     distinct = np.empty((len(code), 3 * n), dtype=np.int8)
     for j in range(3 * n - 1, -1, -1):
         code, distinct[:, j] = np.divmod(code, radices[j])
-    return RecordSet(n, *_run_settings(device, k, prefix, distinct, counts, rng))
+    return RecordSet(n, _run_settings(device, k, prefix, distinct, counts, rng))
 
 
 def _exact_window_estimates(device: Device, k: int, prefix: LayeredCircuit) -> list[RdmEstimate]:
@@ -538,7 +557,7 @@ def _dedicated_record_set(
         axes = np.ones((len(present), n), dtype=np.int8)
         rows = np.hstack([a_ax * axes, _index_bits(present, n), p_ax * axes])
         rounds.append(_run_settings(device, k, prefix, rows, counts[present], rng, undo))
-    return RecordSet(n, np.vstack([b for b, _ in rounds]), np.vstack([o for _, o in rounds]))
+    return RecordSet(n, np.vstack(rounds))
 
 
 def _learn_layer_hardware(
@@ -636,6 +655,22 @@ def _fill_register_diagnostics(report, layers, n, raw1) -> None:
 # -- multi-layer learning -------------------------------------------------------------
 
 
+def check_learn_parameters(n: int, shots: int, eps: float | None, mode: str) -> None:
+    """Raise InvalidParameter for a call :func:`learn_multi` would refuse.
+
+    Refused: a mode other than strict, strict-exact or hardware; n < 2 qubits,
+    or n != 2 in hardware mode; ``shots < 1`` where shots are drawn; and
+    ``eps <= 0`` where it is the matching tolerance.
+    """
+    if mode not in ("strict", "strict-exact", "hardware"):
+        raise InvalidParameter(f"unknown mode {mode!r}: use strict, strict-exact or hardware")
+    _check_qubits(n, mode)
+    if mode in ("strict", "hardware") and shots < 1:
+        raise InvalidParameter(f"shots={shots} must be at least 1 in {mode} mode")
+    if mode in ("strict", "strict-exact") and not eps > 0:
+        raise InvalidParameter(f"eps={eps} must be positive in {mode} mode")
+
+
 def learn_multi(
     device: Device,
     shots: int,
@@ -649,20 +684,13 @@ def learn_multi(
     ``mode`` is "strict" (random-setting overlapping tomography, Choi-state
     matching), "strict-exact" (same assembly driven by the infinite-shot
     oracle), or "hardware" (dedicated settings, purity detection, residual
-    search); any other mode raises InvalidParameter before the device runs,
-    as does a device of n < 2 qubits, or of n != 2 in hardware mode.
-    ``shots`` counts shots per layer in strict mode and shots per setting per
-    round in hardware mode; strict-exact ignores it. ``shots < 1`` where shots
-    are drawn, or ``eps <= 0`` where it is the matching tolerance, also raises
-    InvalidParameter before the device runs.
+    search). ``shots`` counts shots per layer in strict mode and shots per
+    setting per round in hardware mode; strict-exact ignores it. ``eps`` is
+    the matching tolerance of the strict modes; hardware mode picks gates by
+    purity and residual and ignores it. Every parameter is checked by
+    :func:`check_learn_parameters` before the device runs.
     """
-    if mode not in ("strict", "strict-exact", "hardware"):
-        raise InvalidParameter(f"unknown mode {mode!r}: use strict, strict-exact or hardware")
-    _check_qubits(device.n, mode)
-    if mode in ("strict", "hardware") and shots < 1:
-        raise InvalidParameter(f"shots={shots} must be at least 1 in {mode} mode")
-    if mode in ("strict", "strict-exact") and not eps > 0:
-        raise InvalidParameter(f"eps={eps} must be positive in {mode} mode")
+    check_learn_parameters(device.n, shots, eps, mode)
     if mode in ("strict", "strict-exact"):
         _warn_eps(gs, eps)
 

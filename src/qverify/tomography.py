@@ -1,19 +1,22 @@
 """Overlapping tomography from pooled random-Pauli measurement records.
 
-Every shot carries one basis axis and one +1/-1 outcome per virtual wire
-(n principal wires followed by their n classically generated ancilla wires).
+A record set is one (shots, 2n) int8 array of wire digits: n principal wires
+followed by their n classically generated ancilla wires. A shot's digit on a
+wire packs the setting axis and the outcome, ``2 * axis + bit`` with axis
+0=X, 1=Y, 2=Z and bit 0 for the +1 outcome and 1 for -1, so digits run 0..5.
 A Pauli-string coefficient over any wire subset is estimated as the mean, over
-the shots whose bases agree with the string at every non-identity position, of
+the shots whose axes agree with the string at every non-identity position, of
 the product of outcomes at those positions. Each shot therefore contributes to
 every compatible window simultaneously; no per-window resampling happens.
 
-A window's shots are first binned into (setting, outcome) cell counts, a
-(3^m, 2^m) matrix. All 4^m coefficients then come from one contraction of
-those counts, one wire at a time, with a constant (letter, axis, bit) table of
-+1, -1 and 0, and the compatible-shot counts from the same contraction with
-the table's absolute value. Counts are integers and table entries are +1, -1
-or 0, so every sum is exact in float64 and each coefficient is one division,
-whatever the order of summation.
+A window's shots are first binned into (setting, outcome) cell counts: one
+base-6 code per shot over the window's digits, one ``np.bincount`` over the
+6^m cells, and a reordering into a (3^m, 2^m) matrix. All 4^m coefficients
+then come from one contraction of those counts, one wire at a time, with a
+constant (letter, axis, bit) table of +1, -1 and 0, and the compatible-shot
+counts from the same contraction with the table's absolute value. Counts are
+integers and table entries are +1, -1 or 0, so every sum is exact in float64
+and each coefficient is one division, whatever the order of summation.
 
 Estimates are reconstructed by linear inversion,
 ``rho = 2^-m * sum_Q c_Q * (tensor Q)``, with the identity coefficient pinned
@@ -78,36 +81,56 @@ def required_samples(
 
 @dataclass(frozen=True)
 class RecordSet:
-    """Measurement records over 2n virtual wires, stored columnwise.
+    """Measurement records over 2n virtual wires as one array of wire digits.
 
-    ``bases`` holds axis codes (0=X, 1=Y, 2=Z) and ``outcomes`` +1/-1 values,
-    both shaped (shots, 2n); wire i < n is principal, wire n+i its ancilla.
+    ``digits`` is (shots, 2n) int8; wire i < n is principal, wire n+i its
+    ancilla. Each digit is ``2 * axis + bit``: axis 0=X, 1=Y, 2=Z, and bit 0
+    for the +1 outcome, 1 for -1. The constructor takes digits of an integer
+    dtype in 0..5 and checks them before casting to int8, so no value wraps;
+    :meth:`from_shots` wraps per-shot axis and +1/-1 outcome arrays.
     """
 
     n: int
-    bases: np.ndarray
-    outcomes: np.ndarray
+    digits: np.ndarray
 
     def __post_init__(self):
-        bases = np.ascontiguousarray(self.bases, dtype=np.int8)
-        outcomes = np.ascontiguousarray(self.outcomes, dtype=np.int8)
+        digits = np.asarray(self.digits)
+        if digits.ndim != 2 or digits.shape[1] != 2 * self.n:
+            raise InvalidParameter(
+                f"expected digits shaped (shots, {2 * self.n}), got {digits.shape}"
+            )
+        if not np.issubdtype(digits.dtype, np.integer):
+            raise InvalidParameter(f"digits must be integers, got dtype {digits.dtype}")
+        if digits.size and (digits.min() < 0 or digits.max() > 5):
+            raise InvalidParameter("digits must be 2 * axis + bit, in 0..5")
+        digits = np.ascontiguousarray(digits, dtype=np.int8)
+        digits.flags.writeable = False
+        object.__setattr__(self, "digits", digits)
+
+    @classmethod
+    def from_shots(cls, n: int, bases, outcomes) -> RecordSet:
+        """Records from (shots, 2n) axis codes (0=X, 1=Y, 2=Z) and +1/-1 outcomes."""
+        bases, outcomes = np.asarray(bases), np.asarray(outcomes)
         if bases.shape != outcomes.shape or bases.ndim != 2:
             raise InvalidParameter("bases and outcomes must share shape (shots, wires)")
-        if bases.shape[1] != 2 * self.n:
-            raise InvalidParameter(
-                f"expected {2 * self.n} wires, got {bases.shape[1]}"
-            )
-        if bases.size and (bases.min() < 0 or bases.max() > 2):
+        if not np.isin(bases, (0, 1, 2)).all():
             raise InvalidParameter("basis codes must be 0 (X), 1 (Y) or 2 (Z)")
-        if not (np.abs(outcomes) == 1).all():
+        if not np.isin(outcomes, (1, -1)).all():
             raise InvalidParameter("outcomes must be +1 or -1")
-        for arr in (bases, outcomes):
-            arr.flags.writeable = False
-        object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "outcomes", outcomes)
+        return cls(n, 2 * bases.astype(np.int8) + (outcomes < 0))
+
+    @property
+    def bases(self) -> np.ndarray:
+        """(shots, 2n) int8 axis codes: 0=X, 1=Y, 2=Z."""
+        return self.digits >> 1
+
+    @property
+    def outcomes(self) -> np.ndarray:
+        """(shots, 2n) int8 outcomes, +1 or -1."""
+        return 1 - 2 * (self.digits & 1)
 
     def __len__(self) -> int:
-        return self.bases.shape[0]
+        return self.digits.shape[0]
 
     @property
     def wires(self) -> int:
@@ -144,7 +167,9 @@ def cell_counts(rs: RecordSet, subset: tuple[int, ...]) -> np.ndarray:
     """(3^m, 2^m) shot counts per (setting, outcome) cell on the subset wires.
 
     Rows index the joint setting, columns the joint outcome bits (0 for +1),
-    both with the first subset wire as the most significant digit.
+    both with the first subset wire as the most significant digit. Each shot
+    gets one base-6 code over its subset digits and one ``np.bincount`` bins
+    them; int16 codes hold the 6^m cells up to m = 5.
     """
     subset = tuple(int(w) for w in subset)
     if len(set(subset)) != len(subset):
@@ -152,12 +177,14 @@ def cell_counts(rs: RecordSet, subset: tuple[int, ...]) -> np.ndarray:
     if any(w < 0 or w >= rs.wires for w in subset):
         raise InvalidParameter(f"subset {subset} outside the {rs.wires} wires")
     m = len(subset)
-    cells = np.zeros(len(rs), dtype=np.int64)
+    code = np.zeros(len(rs), dtype=np.int16 if 6**m <= 1 << 15 else np.int64)
     for w in subset:
-        cells = cells * 3 + rs.bases[:, w]
-    for w in subset:
-        cells = cells * 2 + (rs.outcomes[:, w] < 0)
-    return np.bincount(cells, minlength=6**m).reshape(3**m, 1 << m)
+        code *= 6
+        code += rs.digits[:, w]
+    # digit j of the code is (axis, bit) of wire j; move the bits after the axes
+    cells = np.bincount(code, minlength=6**m).reshape((3, 2) * m)
+    cells = cells.transpose(*range(0, 2 * m, 2), *range(1, 2 * m, 2))
+    return cells.reshape(3**m, 1 << m)
 
 
 def _coefficients(counts: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -245,28 +272,6 @@ def pair_windows(n: int) -> list[tuple[int, ...]]:
     return [
         (i, j, i + n, j + n) for i in range(n) for j in range(i + 1, n)
     ]
-
-
-def pauli_tomo(
-    m: int, rs: RecordSet, subsets: list[tuple[int, ...]] | None = None
-) -> list[RdmEstimate]:
-    """Estimate every requested window from one shared pool of records."""
-    if subsets is None:
-        if m != 4:
-            raise WindowSizeMismatch("default pair windows require m = 4")
-        subsets = pair_windows(rs.n)
-    for subset in subsets:
-        if len(subset) != m:
-            raise WindowSizeMismatch(f"subset {subset} does not have size {m}")
-    estimates = [estimate_window(rs, subset) for subset in subsets]
-    for est in estimates:
-        if est.low_count_strings:
-            warnings.warn(
-                f"window {est.subset}: {len(est.low_count_strings)} Pauli strings "
-                f"with fewer than {LOW_COMPAT_THRESHOLD} compatible shots",
-                stacklevel=2,
-            )
-    return estimates
 
 
 # -- physical projection and perturbation ----------------------------------------

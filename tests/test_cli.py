@@ -124,6 +124,22 @@ class TestReconstructCommand:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_strict_one_qubit_refused_before_the_desk_scale_note(self, tmp_path, capsys):
+        path = tmp_path / "n1.json"
+        path.write_text(emit_circuit(random_circuit(1, 1, standard_gate_set(), 4)), encoding="utf-8")
+        rc = run(["reconstruct", "--circuit", str(path), "--mode", "strict",
+                  "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "strict mode needs at least 2 qubits" in captured.err
+
+    def test_strict_desk_scale_note_printed(self, tmp_path, demo_file, capsys):
+        rc = run(["reconstruct", "--circuit", str(demo_file), "--mode", "strict",
+                  "--shots", "100", "--out", str(tmp_path / "out")])
+        assert rc in (0, 1)  # 100 shots may well not reconstruct
+        assert capsys.readouterr().out.startswith("note: 100 shots per layer is a desk-scale run")
+
     @pytest.mark.parametrize(
         "flags",
         [

@@ -3,6 +3,7 @@
 from itertools import product
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qverify.circuits import choi_state, emit_circuit, parse_circuit, random_circuit
@@ -134,10 +135,29 @@ def test_window_coefficients_match_per_string_reference(seed, m, high):
     for j, w in enumerate(subset):
         bases[:, w] = settings_ // 3 ** (m - 1 - j) % 3
         outs[:, w] = 1 - 2 * (outcomes >> (m - 1 - j) & 1)
-    rs = RecordSet(2, bases, outs)
+    rs = RecordSet.from_shots(2, bases, outs)
     assert np.array_equal(cell_counts(rs, subset), counts)
     est = estimate_from(counts, subset)
     for pauli in ("".join(p) for p in product("IXYZ", repeat=m)):
         want = _reference_coefficient(counts, pauli)
         assert estimate_pauli_coefficient(rs, subset, pauli) == want
         assert est.compat_counts[pauli] == want[1]
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@settings(max_examples=8, deadline=None)
+@given(seed=seeds, shots=st.integers(0, 400))
+def test_cell_counts_match_per_shot_reference(m, seed, shots):
+    """Binning agrees with one shot at a time, also past the 6^5 int16 codes."""
+    rng = np.random.default_rng(seed)
+    n = 4
+    bases = rng.integers(0, 3, size=(shots, 2 * n))
+    outcomes = 1 - 2 * rng.integers(0, 2, size=(shots, 2 * n))
+    subset = tuple(int(w) for w in rng.permutation(2 * n)[:m])
+    want = np.zeros((3**m, 1 << m), dtype=np.int64)
+    for b, o in zip(bases, outcomes):
+        row = sum(int(b[w]) * 3 ** (m - 1 - j) for j, w in enumerate(subset))
+        col = sum(int(o[w] < 0) << (m - 1 - j) for j, w in enumerate(subset))
+        want[row, col] += 1
+    got = cell_counts(RecordSet.from_shots(n, bases, outcomes), subset)
+    assert np.array_equal(got, want)

@@ -20,7 +20,6 @@ from qverify.tomography import (
     estimate_pauli_coefficient,
     estimate_window,
     pair_windows,
-    pauli_tomo,
     perturb_matrix,
     project_to_physical,
     required_samples,
@@ -96,7 +95,7 @@ def bell_record_set() -> RecordSet:
             for _ in range(count):
                 rows_b.append([a0, a1])
                 rows_o.append(list(outcome))
-    return RecordSet(1, np.array(rows_b, dtype=np.int8), np.array(rows_o, dtype=np.int8))
+    return RecordSet.from_shots(1, rows_b, rows_o)
 
 
 def _born(state: np.ndarray, axes) -> dict:
@@ -134,7 +133,41 @@ def pseudo_choi_record_set(u: np.ndarray, n: int) -> RecordSet:
             for _ in range(count):
                 rows_b.append(list(pri_ax) + list(anc_ax))
                 rows_o.append(list(pri_out) + list(anc_out))
-    return RecordSet(n, np.array(rows_b, dtype=np.int8), np.array(rows_o, dtype=np.int8))
+    return RecordSet.from_shots(n, rows_b, rows_o)
+
+
+class TestRecordSet:
+    def test_digits_pack_axis_and_outcome_bit(self):
+        rs = RecordSet.from_shots(1, [[0, 1], [2, 2]], [[1, -1], [-1, 1]])
+        assert rs.digits.dtype == np.int8
+        assert rs.digits.tolist() == [[0, 3], [5, 4]]
+
+    @pytest.mark.parametrize(
+        "digits",
+        [
+            np.array([[0.0, 1.0]]),  # float dtype, even with whole values
+            np.array([[-1, 0]]),
+            np.array([[0, 6]]),
+            np.array([[259, 0]], dtype=np.int16),  # 3 after an int8 cast
+        ],
+        ids=["float", "digit-negative", "digit-6", "digit-259"],
+    )
+    def test_digits_outside_0_to_5_rejected(self, digits):
+        with pytest.raises(InvalidParameter):
+            RecordSet(1, digits)
+
+    def test_wire_count_checked(self):
+        with pytest.raises(InvalidParameter):
+            RecordSet(2, np.zeros((3, 2), dtype=np.int8))
+
+    def test_from_shots_round_trips(self, rng):
+        bases = rng.integers(0, 3, size=(50, 6)).astype(np.int8)
+        outcomes = (1 - 2 * rng.integers(0, 2, size=(50, 6))).astype(np.int8)
+        rs = RecordSet.from_shots(3, bases, outcomes)
+        assert rs.bases.dtype == rs.outcomes.dtype == np.int8
+        assert np.array_equal(rs.bases, bases)
+        assert np.array_equal(rs.outcomes, outcomes)
+        assert len(rs) == 50 and rs.wires == 6
 
 
 class TestCoefficientEstimation:
@@ -182,7 +215,7 @@ class TestCoefficientEstimation:
             for out in itertools.product((1, -1), repeat=2):
                 rows_b.append([a0, a1])
                 rows_o.append(list(out))
-        rs = RecordSet(1, np.array(rows_b, dtype=np.int8), np.array(rows_o, dtype=np.int8))
+        rs = RecordSet.from_shots(1, rows_b, rows_o)
         for pauli in ("XI", "IZ", "XX", "YZ", "ZZ"):
             value, n_compat = estimate_pauli_coefficient(rs, (0, 1), pauli)
             assert n_compat > 0
@@ -191,7 +224,7 @@ class TestCoefficientEstimation:
     def test_no_compatible_shots_flagged(self):
         bases = np.zeros((4, 2), dtype=np.int8)  # all-X settings only
         outs = np.ones((4, 2), dtype=np.int8)
-        rs = RecordSet(1, bases, outs)
+        rs = RecordSet.from_shots(1, bases, outs)
         value, n_compat = estimate_pauli_coefficient(rs, (0, 1), "ZZ")
         assert (value, n_compat) == (0.0, 0)
 
@@ -207,7 +240,7 @@ class TestCoefficientEstimation:
     )
     def test_records_outside_the_code_ranges_rejected(self, bases, outs):
         with pytest.raises(InvalidParameter):
-            RecordSet(1, bases, outs)
+            RecordSet.from_shots(1, bases, outs)
 
     def test_window_size_checked(self):
         rs = bell_record_set()
@@ -243,7 +276,7 @@ class TestCoefficientEstimation:
 class TestPauliTomo:
     def test_exact_records_recover_identity_choi(self):
         rs = pseudo_choi_record_set(np.eye(4, dtype=complex), 2)
-        estimates = pauli_tomo(4, rs)
+        estimates = [estimate_window(rs, subset) for subset in pair_windows(2)]
         assert len(estimates) == 1
         want = choi_state(np.eye(4), 2).density().entries
         assert trace_distance_array(estimates[0].matrix.entries, want) < 1e-9
@@ -264,8 +297,7 @@ class TestPauliTomo:
         c = random_circuit(3, 1, standard_gate_set(), 12)
         dev = Device(DeviceProfile(3, 1, Fraction(1), c))
         rs = _shot_record_set(dev, 1, identity_circuit(3), 800, np.random.default_rng(3))
-        with pytest.warns(UserWarning):
-            estimates = pauli_tomo(4, rs)
+        estimates = [estimate_window(rs, subset) for subset in pair_windows(3)]
         assert len(estimates) == 3
         for est in estimates:
             # each of the 800 shots feeds every window: no per-subset resampling
@@ -284,11 +316,6 @@ class TestPauliTomo:
         m = est.matrix.entries
         assert np.allclose(m, m.conj().T)
         assert abs(np.trace(m).real - 1) < 1e-12
-
-    def test_window_size_mismatch(self):
-        rs = bell_record_set()
-        with pytest.raises(WindowSizeMismatch):
-            pauli_tomo(4, rs, subsets=[(0, 1)])
 
 
 class TestProjection:
