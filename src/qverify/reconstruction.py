@@ -285,7 +285,7 @@ def _run_settings(device: Device, k: int, prefix: LayeredCircuit, rows, counts, 
     return digits
 
 
-def _setting_codes(rng, shots: int, n: int) -> np.ndarray:
+def _draw_setting_codes(rng, shots: int, n: int) -> np.ndarray:
     """One mixed-radix code per shot of a uniformly random setting.
 
     Ancilla axes, ancilla outcome bits and principal axes are drawn in that
@@ -313,16 +313,8 @@ def _shot_record_set(
     n = device.n
     rng = np.random.default_rng(rng)
     # deduplication runs on flat codes; a code identifies its row, so each
-    # distinct row is decoded back from it. Both branches give the distinct
-    # codes in ascending order; counting every code is faster while the 18^n
-    # of them are no more than the shots.
-    code = _setting_codes(rng, shots, n)
-    if 18**n <= shots:
-        counts = np.bincount(code, minlength=18**n)
-        code = np.flatnonzero(counts)
-        counts = counts[code]
-    else:
-        code, counts = np.unique(code, return_counts=True)
+    # distinct row is decoded back from it
+    code, counts = np.unique(_draw_setting_codes(rng, shots, n), return_counts=True)
     radices = np.repeat([3, 2, 3], n)
     distinct = np.empty((len(code), 3 * n), dtype=np.int8)
     for j in range(3 * n - 1, -1, -1):
