@@ -11,12 +11,8 @@ from .core import (
     DensityMatrix,
     PauliBasis,
     StateVec,
-    apply_unitary,
     exact_pauli_distribution,
-    partial_trace,
     purity,
-    relative_fidelity,
-    trace_distance,
 )
 from .gates import Gate, GateSet, builtin_gate, qft_gate_set, standard_gate_set
 from .circuits import (
@@ -46,7 +42,6 @@ from .device import (
 from .tomography import (
     RdmEstimate,
     RecordSet,
-    estimate_pauli_coefficient,
     project_to_physical,
     required_samples,
 )
@@ -55,7 +50,6 @@ from .reconstruction import (
     detect_cnot_by_purity,
     learn_multi,
     learn_single,
-    match_single_qubit,
     match_two_qubit,
     minimize_residual,
 )
@@ -66,12 +60,8 @@ __all__ = [
     "DensityMatrix",
     "PauliBasis",
     "StateVec",
-    "apply_unitary",
     "exact_pauli_distribution",
-    "partial_trace",
     "purity",
-    "relative_fidelity",
-    "trace_distance",
     "Gate",
     "GateSet",
     "builtin_gate",
@@ -97,14 +87,12 @@ __all__ = [
     "device_time_for_learning",
     "RdmEstimate",
     "RecordSet",
-    "estimate_pauli_coefficient",
     "project_to_physical",
     "required_samples",
     "ReconstructionReport",
     "detect_cnot_by_purity",
     "learn_multi",
     "learn_single",
-    "match_single_qubit",
     "match_two_qubit",
     "minimize_residual",
 ]

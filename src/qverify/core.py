@@ -17,15 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DuplicateTarget,
-    EmptyKeepSet,
-    IndexOutOfRange,
-    NonUnitary,
-    NotNormalized,
-    ZeroPurity,
-)
+from .errors import DimensionMismatch, NotNormalized, ZeroPurity
 
 ATOL = 1e-9
 
@@ -92,12 +84,6 @@ class StateVec:
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
 
-    @classmethod
-    def computational(cls, n_qubits: int, index: int = 0) -> "StateVec":
-        amp = np.zeros(1 << n_qubits, dtype=complex)
-        amp[index] = 1.0
-        return cls(n_qubits, amp)
-
     def density(self) -> "DensityMatrix":
         return DensityMatrix(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
 
@@ -143,10 +129,6 @@ class PauliBasis:
                 raise DimensionMismatch(f"invalid axis {a!r}")
         object.__setattr__(self, "axes", axes)
 
-    @classmethod
-    def from_string(cls, s: str) -> "PauliBasis":
-        return cls(tuple(s))
-
     def __len__(self) -> int:
         return len(self.axes)
 
@@ -172,36 +154,6 @@ def apply_unitary_array(
     out = np.tensordot(u_t, psi, axes=(tuple(range(k, 2 * k)), targets))
     out = np.moveaxis(out, tuple(range(k)), targets)
     return out.reshape(amplitudes.shape)
-
-
-def apply_unitary(state: StateVec, u: np.ndarray, targets) -> StateVec:
-    """Apply a unitary to an ordered tuple of target qubits."""
-    targets = tuple(int(t) for t in targets)
-    n = state.n_qubits
-    if len(set(targets)) != len(targets):
-        raise DuplicateTarget(f"repeated target in {targets}")
-    if any(t < 0 or t >= n for t in targets):
-        raise IndexOutOfRange(f"targets {targets} out of range for {n} qubits")
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (1 << len(targets), 1 << len(targets)):
-        raise DimensionMismatch(
-            f"unitary shape {u.shape} does not cover {len(targets)} qubits"
-        )
-    if not is_unitary(u):
-        raise NonUnitary("matrix is not unitary within 1e-9")
-    return StateVec(n, apply_unitary_array(state.amplitudes, u, targets, n))
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduce to the qubits in ``keep`` (ascending order in the result)."""
-    n = rho.n_qubits
-    keep = sorted(set(int(k) for k in keep))
-    if not keep:
-        raise EmptyKeepSet("keep set must be nonempty")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise IndexOutOfRange(f"keep {keep} out of range for {n} qubits")
-    reduced = partial_trace_array(rho.entries, keep, n)
-    return DensityMatrix(len(keep), reduced)
 
 
 def partial_trace_array(rho: np.ndarray, keep: list[int], n: int) -> np.ndarray:
@@ -231,14 +183,8 @@ def pure_marginal_array(amplitudes: np.ndarray, keep: list[int], n: int) -> np.n
 # -- metrics ------------------------------------------------------------------
 
 
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the trace norm of a-b, via Hermitian eigendecomposition."""
-    if a.n_qubits != b.n_qubits:
-        raise DimensionMismatch("states act on different qubit counts")
-    return trace_distance_array(a.entries, b.entries)
-
-
 def trace_distance_array(a: np.ndarray, b: np.ndarray) -> float:
+    """Half the trace norm of a-b, via Hermitian eigendecomposition."""
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
     eigs = np.linalg.eigvalsh(a - b)
@@ -252,14 +198,8 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.einsum("ij,ji->", rho.entries, rho.entries).real)
 
 
-def relative_fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
-    """tr(ab) / sqrt(tr(aa) tr(bb)); equals 1 iff a and b are proportional."""
-    if a.n_qubits != b.n_qubits:
-        raise DimensionMismatch("states act on different qubit counts")
-    return relative_fidelity_array(a.entries, b.entries)
-
-
 def relative_fidelity_array(a: np.ndarray, b: np.ndarray) -> float:
+    """tr(ab) / sqrt(tr(aa) tr(bb)); equals 1 iff a and b are proportional."""
     pa = np.einsum("ij,ji->", a, a).real
     pb = np.einsum("ij,ji->", b, b).real
     if pa <= 1e-14 or pb <= 1e-14:

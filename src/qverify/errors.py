@@ -15,14 +15,6 @@ class IndexOutOfRange(QVerifyError):
     pass
 
 
-class DuplicateTarget(QVerifyError):
-    pass
-
-
-class EmptyKeepSet(QVerifyError):
-    pass
-
-
 class DimensionMismatch(QVerifyError):
     pass
 
@@ -74,10 +66,6 @@ class InvalidRequest(QVerifyError):
 # -- tomography ---------------------------------------------------------------
 
 class InvalidParameter(QVerifyError):
-    pass
-
-
-class WindowSizeMismatch(QVerifyError):
     pass
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BUILTIN_MATRICES, is_unitary
+from .core import BUILTIN_MATRICES, is_unitary, trace_distance_array
 from .errors import ArityMismatch, EmptyGateSet, NonUnitary, UnknownGateName
 
 _SWAP = np.array(
@@ -142,5 +142,4 @@ def choi_distance(a: np.ndarray, b: np.ndarray) -> float:
     d = a.shape[0]
     va = a.reshape(-1) / np.sqrt(d)
     vb = b.reshape(-1) / np.sqrt(d)
-    diff = np.outer(va, va.conj()) - np.outer(vb, vb.conj())
-    return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
+    return trace_distance_array(np.outer(va, va.conj()), np.outer(vb, vb.conj()))

@@ -168,14 +168,6 @@ def match_two_qubit(est, g2, eps: float):
     return hit
 
 
-def match_single_qubit(est2, g1, eps: float):
-    """The unique single-qubit gate whose Choi state is within eps, or None."""
-    if not g1:
-        return None
-    hit, _ = _match(_as_matrix(est2), g1, 1, eps)
-    return hit
-
-
 # -- diagnostics containers ---------------------------------------------------------
 
 
@@ -352,11 +344,9 @@ def _learn_single_full(
     n = device.n
     if mode == "exact":
         estimates = _exact_window_estimates(device, k, prefix)
-    elif mode == "shots":
+    else:
         rs = _shot_record_set(device, k, prefix, shots, rng)
         estimates = [estimate_window(rs, subset) for subset in pair_windows(n)]
-    else:
-        raise InvalidParameter(f"unknown estimator mode {mode!r}: use shots or exact")
 
     report = LayerReport(index=k, structure=(), gates=())
     by_pair = {est.subset[:2]: est for est in estimates}
@@ -473,18 +463,18 @@ def learn_single(
     rng,
     mode: str = "shots",
 ) -> Layer:
-    """Reconstruct the layer reached at interruption point ``k``; needs n >= 2."""
-    _check_qubits(device.n, "strict")
+    """Reconstruct the layer reached at interruption point ``k``.
+
+    ``mode`` "shots" or "exact" is checked like :func:`learn_multi`'s
+    "strict" or "strict-exact" before the device runs.
+    """
+    modes = {"shots": "strict", "exact": "strict-exact"}
+    if mode not in modes:
+        raise InvalidParameter(f"unknown estimator mode {mode!r}: use shots or exact")
+    check_learn_parameters(device.n, shots, eps, modes[mode])
     _warn_eps(gs, eps)
     layer, _, _ = _learn_single_full(device, k, inverse_prefix, shots, gs, eps, rng, mode)
     return layer
-
-
-def _check_qubits(n: int, mode: str) -> None:
-    """Strict learning reads pair windows (n >= 2); hardware mode is two-qubit only."""
-    if n < 2 or (mode == "hardware" and n != 2):
-        need = "exactly" if mode == "hardware" else "at least"
-        raise InvalidParameter(f"{mode} mode needs {need} 2 qubits, got n={n}")
 
 
 def _warn_eps(gs: GateSet, eps: float) -> None:
@@ -570,11 +560,10 @@ def _learn_layer_hardware(
 
     entangler: Gate | None = None
     if report.cnot_detected:
-        entangler, regs2, round2_used = _identify_entangler(
+        entangler, regs2 = _identify_entangler(
             device, k, prefix, shots_per_setting, gs, rng, regs1
         )
-        if round2_used:
-            report.warnings.append("second round executed to undo the entangling gate")
+        report.warnings.append("second round executed to undo the entangling gate")
     else:
         regs2 = regs1
 
@@ -632,7 +621,7 @@ def _identify_entangler(device, k, prefix, shots_per_setting, gs, rng, regs1):
         total = sum(minimize_residual(r, gs.singles)[1] for r in regs2)
         if best is None or total < best[0]:
             best = (total, gate, regs2)
-    return best[1], best[2], True
+    return best[1], best[2]
 
 
 def _fill_register_diagnostics(report, layers, n, raw1) -> None:
@@ -656,7 +645,10 @@ def check_learn_parameters(n: int, shots: int, eps: float | None, mode: str) -> 
     """
     if mode not in ("strict", "strict-exact", "hardware"):
         raise InvalidParameter(f"unknown mode {mode!r}: use strict, strict-exact or hardware")
-    _check_qubits(n, mode)
+    # strict learning reads pair windows; hardware mode is two-qubit only
+    if n < 2 or (mode == "hardware" and n != 2):
+        need = "exactly" if mode == "hardware" else "at least"
+        raise InvalidParameter(f"{mode} mode needs {need} 2 qubits, got n={n}")
     if mode in ("strict", "hardware") and shots < 1:
         raise InvalidParameter(f"shots={shots} must be at least 1 in {mode} mode")
     if mode in ("strict", "strict-exact") and not eps > 0:

@@ -36,7 +36,7 @@ from itertools import product
 import numpy as np
 
 from .core import DensityMatrix, PAULIS
-from .errors import InvalidParameter, WindowSizeMismatch
+from .errors import InvalidParameter
 
 PAULI_LETTERS = "IXYZ"
 
@@ -103,7 +103,8 @@ class RecordSet:
             raise InvalidParameter(f"digits must be integers, got dtype {digits.dtype}")
         if digits.size and (digits.min() < 0 or digits.max() > 5):
             raise InvalidParameter("digits must be 2 * axis + bit, in 0..5")
-        digits = np.ascontiguousarray(digits, dtype=np.int8)
+        # a private copy, so freezing it leaves the caller's array writeable
+        digits = np.array(digits, dtype=np.int8, order="C")
         digits.flags.writeable = False
         object.__setattr__(self, "digits", digits)
 
@@ -207,21 +208,6 @@ def _coefficients(counts: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     coeffs = np.divide(sums, compat, out=np.zeros(4**m), where=compat > 0)
     coeffs[0] = 1.0
     return coeffs, compat.astype(np.int64)
-
-
-def estimate_pauli_coefficient(
-    rs: RecordSet, subset: tuple[int, ...], pauli: str
-) -> tuple[float, int]:
-    """Mean outcome product over compatible shots; (0, 0) when none exist."""
-    if len(pauli) != len(subset):
-        raise WindowSizeMismatch(
-            f"string {pauli!r} does not fit a {len(subset)}-wire window"
-        )
-    if any(c not in PAULI_LETTERS for c in pauli):
-        raise InvalidParameter(f"string {pauli!r} has letters outside {PAULI_LETTERS}")
-    coeffs, compat = _coefficients(cell_counts(rs, subset), len(pauli))
-    code = _pauli_strings(len(pauli)).index(pauli)
-    return float(coeffs[code]), int(compat[code])
 
 
 @dataclass(frozen=True)

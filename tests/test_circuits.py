@@ -158,14 +158,14 @@ class TestChoiState:
         assert all(abs(a - 0.5) < 1e-12 for a in nz.values())
 
     def test_single_gate_marginals_pure(self, rng):
-        from qverify.core import partial_trace, purity
+        from qverify.core import DensityMatrix, partial_trace_array, purity
 
         layer = simple_layer(("H", (0,)), ("CNOT", (1, 2)))
         omega = choi_state(layer_unitary(layer, 3), 3)
-        rho = omega.density()
-        lone = partial_trace(rho, {0, 3})
+        rho = omega.density().entries
+        lone = DensityMatrix(2, partial_trace_array(rho, [0, 3], 6))
         assert abs(purity(lone) - 1) < 1e-6
-        entangled = partial_trace(rho, {1, 4})
+        entangled = DensityMatrix(2, partial_trace_array(rho, [1, 4], 6))
         assert purity(entangled) <= 1 - 1e-6
         assert abs(purity(entangled) - 0.5) < 1e-9
 

@@ -5,21 +5,14 @@ from qverify.core import (
     DensityMatrix,
     PauliBasis,
     StateVec,
-    apply_unitary,
+    apply_unitary_array,
     exact_pauli_distribution,
-    partial_trace,
+    partial_trace_array,
     purity,
-    relative_fidelity,
-    trace_distance,
+    relative_fidelity_array,
+    trace_distance_array,
 )
-from qverify.errors import (
-    DimensionMismatch,
-    DuplicateTarget,
-    EmptyKeepSet,
-    IndexOutOfRange,
-    NonUnitary,
-    NotNormalized,
-)
+from qverify.errors import DimensionMismatch, NotNormalized
 from qverify.gates import BUILTIN_MATRICES
 
 from conftest import brute_partial_trace, brute_pauli_distribution, haar_unitary, random_state_vec
@@ -32,60 +25,49 @@ BELL = StateVec(2, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
 
 
 def ket(n, index):
-    return StateVec.computational(n, index)
+    return StateVec(n, np.eye(1 << n)[index])
 
 
 class TestApplyUnitary:
     def test_h_on_zero(self):
-        out = apply_unitary(ket(1, 0), H, (0,))
-        assert np.allclose(out.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)])
+        out = apply_unitary_array(ket(1, 0).amplitudes, H, (0,), 1)
+        assert np.allclose(out, [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
     def test_cnot_flips_target(self):
-        out = apply_unitary(ket(2, 0b10), CNOT, (0, 1))
-        assert np.allclose(out.amplitudes, ket(2, 0b11).amplitudes)
+        out = apply_unitary_array(ket(2, 0b10).amplitudes, CNOT, (0, 1), 2)
+        assert np.allclose(out, ket(2, 0b11).amplitudes)
 
     def test_x_on_second_qubit(self):
-        out = apply_unitary(ket(2, 0b00), X, (1,))
-        assert np.allclose(out.amplitudes, ket(2, 0b01).amplitudes)
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(NonUnitary):
-            apply_unitary(ket(1, 0), np.array([[1, 0], [0, 2]]), (0,))
-
-    def test_rejects_bad_targets(self):
-        with pytest.raises(IndexOutOfRange):
-            apply_unitary(ket(1, 0), X, (3,))
-        with pytest.raises(DuplicateTarget):
-            apply_unitary(ket(2, 0), CNOT, (0, 0))
+        out = apply_unitary_array(ket(2, 0b00).amplitudes, X, (1,), 2)
+        assert np.allclose(out, ket(2, 0b01).amplitudes)
 
     def test_norm_preserved_on_random_pairs(self, rng):
         for _ in range(1000):
             n = int(rng.integers(1, 4))
             arity = int(rng.integers(1, min(n, 2) + 1))
             targets = tuple(rng.choice(n, size=arity, replace=False))
-            state = StateVec(n, random_state_vec(n, rng))
             u = haar_unitary(1 << arity, rng)
-            out = apply_unitary(state, u, targets)
-            assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-9
+            out = apply_unitary_array(random_state_vec(n, rng), u, targets, n)
+            assert abs(np.linalg.norm(out) - 1) < 1e-9
 
     def test_matches_kron_embedding(self, rng):
-        state = StateVec(3, random_state_vec(3, rng))
+        psi = random_state_vec(3, rng)
         u = haar_unitary(2, rng)
-        out = apply_unitary(state, u, (1,))
+        out = apply_unitary_array(psi, u, (1,), 3)
         full = np.kron(np.kron(np.eye(2), u), np.eye(2))
-        assert np.allclose(out.amplitudes, full @ state.amplitudes)
+        assert np.allclose(out, full @ psi)
 
 
 class TestPartialTrace:
     def test_bell_marginal_is_maximally_mixed(self):
-        reduced = partial_trace(BELL.density(), {0})
-        assert np.allclose(reduced.entries, np.eye(2) / 2)
+        reduced = partial_trace_array(BELL.density().entries, [0], 2)
+        assert np.allclose(reduced, np.eye(2) / 2)
 
     def test_product_factor(self):
         plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
         state = StateVec(2, np.kron([1, 0], plus))
-        reduced = partial_trace(state.density(), {1})
-        assert np.allclose(reduced.entries, np.outer(plus, plus.conj()))
+        reduced = partial_trace_array(state.density().entries, [1], 2)
+        assert np.allclose(reduced, np.outer(plus, plus.conj()))
 
     def test_cnot_choi_control_marginal(self):
         # (CNOT x I)|Psi> on wires (w1, w2, w1', w2'), marginal on (w1, w1')
@@ -95,11 +77,11 @@ class TestPartialTrace:
         omega = np.kron(CNOT, np.eye(4)) @ psi
         rho = np.outer(omega, omega.conj())
         expected = brute_partial_trace(rho, [0, 2], 4)
-        got = partial_trace(DensityMatrix(4, rho), {0, 2})
-        assert np.allclose(got.entries, expected, atol=1e-12)
+        got = partial_trace_array(rho, [0, 2], 4)
+        assert np.allclose(got, expected, atol=1e-12)
         want = np.zeros((4, 4), dtype=complex)
         want[0, 0] = want[3, 3] = 0.5
-        assert np.allclose(got.entries, want)
+        assert np.allclose(got, want)
 
     def test_matches_brute_force_on_random_states(self, rng):
         for _ in range(25):
@@ -108,55 +90,50 @@ class TestPartialTrace:
             rho = np.outer(v, v.conj())
             size = int(rng.integers(1, n))
             keep = sorted(rng.choice(n, size=size, replace=False))
-            got = partial_trace(DensityMatrix(n, rho), keep)
-            assert np.allclose(got.entries, brute_partial_trace(rho, keep, n), atol=1e-12)
+            got = partial_trace_array(rho, keep, n)
+            assert np.allclose(got, brute_partial_trace(rho, keep, n), atol=1e-12)
 
     def test_preserves_trace_and_hermiticity(self, rng):
         v = random_state_vec(3, rng)
-        reduced = partial_trace(DensityMatrix(3, np.outer(v, v.conj())), {0, 2})
-        assert abs(np.trace(reduced.entries) - 1) < 1e-10
-        assert np.allclose(reduced.entries, reduced.entries.conj().T)
+        reduced = partial_trace_array(np.outer(v, v.conj()), [0, 2], 3)
+        assert abs(np.trace(reduced) - 1) < 1e-10
+        assert np.allclose(reduced, reduced.conj().T)
 
     def test_disjoint_removals_commute(self, rng):
         v = random_state_vec(4, rng)
-        rho = DensityMatrix(4, np.outer(v, v.conj()))
+        rho = np.outer(v, v.conj())
         # removing qubit 3 then qubit 0 equals removing qubit 0 then qubit 3
-        a = partial_trace(partial_trace(rho, {0, 1, 2}), {1, 2})
-        b = partial_trace(partial_trace(rho, {1, 2, 3}), {0, 1})
-        assert np.allclose(a.entries, b.entries, atol=1e-12)
-
-    def test_rejects_bad_keep(self):
-        with pytest.raises(EmptyKeepSet):
-            partial_trace(BELL.density(), set())
-        with pytest.raises(IndexOutOfRange):
-            partial_trace(BELL.density(), {5})
+        a = partial_trace_array(partial_trace_array(rho, [0, 1, 2], 4), [1, 2], 3)
+        b = partial_trace_array(partial_trace_array(rho, [1, 2, 3], 4), [0, 1], 3)
+        assert np.allclose(a, b, atol=1e-12)
 
 
 class TestTraceDistance:
     def test_identical_states(self):
-        assert trace_distance(BELL.density(), BELL.density()) == 0
+        bell = BELL.density().entries
+        assert trace_distance_array(bell, bell) == 0
 
     def test_orthogonal_pure_states(self):
-        assert abs(trace_distance(ket(1, 0).density(), ket(1, 1).density()) - 1) < 1e-12
+        d = trace_distance_array(ket(1, 0).density().entries, ket(1, 1).density().entries)
+        assert abs(d - 1) < 1e-12
 
     def test_zero_versus_plus(self):
-        plus = apply_unitary(ket(1, 0), H, (0,))
-        d = trace_distance(ket(1, 0).density(), plus.density())
+        plus = H[:, 0]
+        d = trace_distance_array(ket(1, 0).density().entries, np.outer(plus, plus.conj()))
         assert abs(d - 1 / np.sqrt(2)) < 1e-12
 
     def test_symmetry_triangle_and_range(self, rng):
         for _ in range(200):
-            states = [np.outer(v, v.conj()) for v in (random_state_vec(2, rng) for _ in range(3))]
-            a, b, c = (DensityMatrix(2, m) for m in states)
-            dab, dba = trace_distance(a, b), trace_distance(b, a)
-            dac, dcb = trace_distance(a, c), trace_distance(c, b)
+            a, b, c = (np.outer(v, v.conj()) for v in (random_state_vec(2, rng) for _ in range(3)))
+            dab, dba = trace_distance_array(a, b), trace_distance_array(b, a)
+            dac, dcb = trace_distance_array(a, c), trace_distance_array(c, b)
             assert abs(dab - dba) < 1e-12
             assert dab <= dac + dcb + 1e-12
             assert -1e-12 <= dab <= 1 + 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            trace_distance(ket(1, 0).density(), BELL.density())
+            trace_distance_array(ket(1, 0).density().entries, BELL.density().entries)
 
 
 class TestPurity:
@@ -172,8 +149,8 @@ class TestPurity:
         for i in range(4):
             psi[(i << 2) | i] = 0.5
         omega = np.kron(CNOT, np.eye(4)) @ psi
-        marg = partial_trace(DensityMatrix(4, np.outer(omega, omega.conj())), {0, 2})
-        assert abs(purity(marg) - 0.5) < 1e-12
+        marg = partial_trace_array(np.outer(omega, omega.conj()), [0, 2], 4)
+        assert abs(purity(DensityMatrix(2, marg)) - 0.5) < 1e-12
 
     def test_rejects_unnormalized(self):
         bad = DensityMatrix.__new__(DensityMatrix)
@@ -187,20 +164,16 @@ class TestRelativeFidelity:
     def test_equal_states(self, rng):
         for _ in range(20):
             v = random_state_vec(2, rng)
-            rho = DensityMatrix(2, np.outer(v, v.conj()))
-            assert abs(relative_fidelity(rho, rho) - 1) < 1e-10
+            rho = np.outer(v, v.conj())
+            assert abs(relative_fidelity_array(rho, rho) - 1) < 1e-10
 
     def test_orthogonal_pure_states(self):
-        f = relative_fidelity(ket(1, 0).density(), ket(1, 1).density())
+        f = relative_fidelity_array(ket(1, 0).density().entries, ket(1, 1).density().entries)
         assert abs(f) < 1e-12
 
     def test_mixed_against_pure(self):
-        f = relative_fidelity(DensityMatrix(1, np.eye(2) / 2), ket(1, 0).density())
+        f = relative_fidelity_array(np.eye(2) / 2, ket(1, 0).density().entries)
         assert abs(f - 1 / np.sqrt(2)) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            relative_fidelity(ket(1, 0).density(), BELL.density())
 
 
 class TestExactDistribution:
@@ -228,7 +201,7 @@ class TestExactDistribution:
     def test_sums_to_one_on_random_states(self, rng):
         for axes in ("XYZ", "ZZX"):
             state = StateVec(3, random_state_vec(3, rng))
-            dist = exact_pauli_distribution(state, PauliBasis.from_string(axes))
+            dist = exact_pauli_distribution(state, PauliBasis(axes))
             assert abs(sum(dist.values()) - 1) < 1e-12
             oracle = brute_pauli_distribution(state.amplitudes, axes)
             for k, p in oracle.items():

@@ -422,7 +422,7 @@ class TestOutcomeDistributions:
         shots = 100_000
         for axes in ("ZZ", "XY"):
             exact = exact_pauli_distribution(
-                StateVec(2, compose_unitary(c, 2)[:, 0]), PauliBasis.from_string(axes)
+                StateVec(2, compose_unitary(c, 2)[:, 0]), PauliBasis(axes)
             )
             outs = blank_shots(dev, axes, 2, shots, np.random.default_rng(11))
             freq = np.bincount(outs, minlength=4) / shots

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import qverify
@@ -26,6 +27,15 @@ def test_every_trace_target_resolves():
         if not callable(getattr(owner, leaf, None)):
             missing.append(f"{module}.{attr} ({name})")
     assert missing == []
+
+
+def test_readme_quick_start_runs(monkeypatch):
+    """README.md's one ``python`` block runs from the repository root."""
+    root = Path(__file__).resolve().parents[1]
+    blocks = re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    monkeypatch.chdir(root)
+    exec(compile(blocks[0], "README.md", "exec"), {})
 
 
 def test_cli_only_parses_arguments():

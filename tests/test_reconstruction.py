@@ -34,11 +34,11 @@ from qverify.errors import (
 )
 from qverify.gates import Gate, GateSet, builtin_gate, standard_gate_set
 from qverify.reconstruction import (
+    _match,
     detect_cnot_by_purity,
     exact_pseudo_joint,
     learn_multi,
     learn_single,
-    match_single_qubit,
     match_two_qubit,
     minimize_residual,
     prep_gate_names,
@@ -151,30 +151,30 @@ class TestMatching:
         gs = standard_gate_set()
         est = choi_state(np.eye(2), 1).density()
         with pytest.raises(AmbiguousMatch):
-            match_single_qubit(est, gs.singles, eps=1.5)
+            _match(est.entries, gs.singles, 1, 1.5)
 
     def test_single_qubit_matches(self):
         gs = standard_gate_set()
         est = choi_state(builtin_gate("H").matrix, 1).density()
-        gate, dist = match_single_qubit(est, gs.singles, eps=0.2)
+        (gate, dist), _ = _match(est.entries, gs.singles, 1, 0.2)
         assert gate.name == "H" and dist < 1e-10
 
     def test_maximally_mixed_matches_nothing(self):
         gs = standard_gate_set()
         est = DensityMatrix(2, np.eye(4) / 4)
-        assert match_single_qubit(est, gs.singles, eps=0.9 * 0.25) is None
+        assert _match(est.entries, gs.singles, 1, 0.9 * 0.25)[0] is None
 
     def test_identity_only_set(self):
         ident = builtin_gate("I")
         est = choi_state(np.eye(2), 1).density()
-        gate, _ = match_single_qubit(est, (ident,), eps=0.3)
+        (gate, _), _ = _match(est.entries, (ident,), 1, 0.3)
         assert gate.name == "I"
 
     def test_phase_equivalent_candidates_do_not_collide(self):
         z = builtin_gate("Z")
         phased = Gate("phZ", 1, np.exp(0.4j) * z.matrix)
         est = choi_state(z.matrix, 1).density()
-        gate, _ = match_single_qubit(est, (z, phased), eps=0.2)
+        (gate, _), _ = _match(est.entries, (z, phased), 1, 0.2)
         assert gate.name == "Z"
 
 
@@ -230,6 +230,17 @@ class TestLearnSingle:
         with pytest.raises(InvalidParameter):
             learn_single(dev, 1, identity_circuit(2), 100, standard_gate_set(), 0.22, rng, mode="exakt")
         assert rng.bit_generator.state == state
+        assert dev.ledger.layer_count == 0
+
+    @pytest.mark.parametrize(
+        "shots, eps, mode",
+        [(100, 0.0, "shots"), (0, 0.22, "shots"), (0, -0.1, "exact")],
+        ids=["eps-0", "shots-0", "exact-eps-negative"],
+    )
+    def test_parameters_checked_like_learn_multi(self, shots, eps, mode):
+        dev = device_for(circuit_of(2, L(("H", (0,)), ("H", (1,)))))
+        with pytest.raises(InvalidParameter):
+            learn_single(dev, 1, identity_circuit(2), shots, standard_gate_set(), eps, 4, mode=mode)
         assert dev.ledger.layer_count == 0
 
     def test_warns_when_eps_at_resolution(self):

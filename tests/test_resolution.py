@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qverify.core import trace_distance
+from qverify.core import trace_distance_array
 from qverify.errors import DegenerateGateSet
 from qverify.gates import Gate, GateSet, builtin_gate, qft_gate_set, standard_gate_set
 from qverify.resolution import (
@@ -150,7 +150,7 @@ class TestResolution:
         d_c = gate_set_resolution(gs, elems)
         for i in range(len(elems)):
             for j in range(i + 1, len(elems)):
-                d = trace_distance(elems[i].state, elems[j].state)
+                d = trace_distance_array(elems[i].state.entries, elems[j].state.entries)
                 assert d >= 2 * d_c - 1e-9
 
     def test_closest_pair(self):
