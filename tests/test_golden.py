@@ -8,8 +8,10 @@ The estimate digests pin every window matrix, compatible-shot count and
 low-count list estimated from those records; they were computed from the
 per-string coefficient loop that the single contraction replaced. The CLI
 digests pin the files that ``qverify reconstruct`` and the two sweeps write;
-they were computed before the sweeps and report formats left ``cli.py``. No
-digest may be regenerated to make a change pass.
+they were computed before the sweeps and report formats left ``cli.py``. The
+report digests pin ``report.json`` and ``report.csv`` of strict reconstructions
+at n >= 3, where the gate decoder and the per-window diagnostics run on more
+than one window. No digest may be regenerated to make a change pass.
 """
 
 import hashlib
@@ -24,8 +26,9 @@ from qverify.benchmarks import demo_circuit
 from qverify.circuits import Layer, LayeredCircuit, random_circuit
 from qverify.cli import main
 from qverify.device import Device, DeviceProfile, NoiseConfig
+from qverify.errors import NoMatch
 from qverify.gates import builtin_gate, standard_gate_set
-from qverify.reconstruction import _dedicated_record_set, _shot_record_set
+from qverify.reconstruction import _dedicated_record_set, _shot_record_set, learn_multi
 from qverify.tomography import estimate_window, pair_windows
 
 
@@ -197,3 +200,65 @@ def test_cli_output_digest(tmp_path, case):
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in expected
     }
     assert written == expected
+
+
+def _learn_random(n: int, mode: str, shots: int, p: float, seed: int):
+    """Reconstruct random_circuit(n, 3, standard, seed) with eps=0.2 and the same seed."""
+    gs = standard_gate_set()
+    c = random_circuit(n, 3, gs, seed)
+    dev = Device(DeviceProfile(n, 3, Fraction(1), c), NoiseConfig(depolarizing_p=p))
+    return learn_multi(dev, shots, gs, 0.2, seed, mode=mode), c
+
+
+# (n, mode, shots per layer, p, seed) -> sha256 of (report.json, report.csv).
+# Most n=3 circuits fail at 20k shots (see the NoMatch case below); seed 34
+# is one that reconstructs, with and without noise. The n=2 case at 2500
+# shots reconstructs with low-count strings, so it pins those warnings.
+REPORT_CASES = {
+    (4, "strict-exact", 0, 0.0, 0): (
+        "bc718321921c0713cbe166154b4a2316d959e15e9ec84348d107498917b6509b",
+        "9bd767372b1dd9588d821a614b565ea17e6d5c379c2e0c8e34db26f383c4c44e",
+    ),
+    (4, "strict-exact", 0, 0.0, 1): (
+        "967aaf62434e4cc2423bef638499d351c092e611be9f4612180d293b714344e0",
+        "82d18b58cf193308b87db10347932d8123e120eb923b2dcafdb634595e2dbe4a",
+    ),
+    (5, "strict-exact", 0, 0.0, 0): (
+        "f496d515c83cb4abca2d7f6eb37a0f7b615690727fc6153481466bda8e7f7cde",
+        "618de9ac7998c6648a626bedc3a30c349daa377d4124b1f4ca85f45d09d50fe5",
+    ),
+    (5, "strict-exact", 0, 0.0, 2): (
+        "cd5b7adfb6ef469cc59424cf26c52e1473fa641cc5bc5c6350d17ef57c9319e2",
+        "4f61cea2e68bbe8dec9973961aae22d2b39583147fcb9c15506a0fcbdffabc1c",
+    ),
+    (3, "strict", 20000, 0.0, 34): (
+        "e829c837f38ae84ae749bcc0939da4fcc7864dcf625da8d0c3ac74a95c0dcffd",
+        "0b756f8fc83438c23e4ebb71f1e816d0f7763de39d2bcce71aa7e25567edf3eb",
+    ),
+    (3, "strict", 20000, 0.01, 34): (
+        "d218c9ff95a6f118131430148b228dbf94bc5f97f08dbc502cf7704f6bf082b9",
+        "4a298c7a69de8945db068f95aaff6a6d1d255dad8e124e2260c0238d8026c7ce",
+    ),
+    (2, "strict", 2500, 0.0, 1): (
+        "a6497d17fc621d6ce8f5bc4a12d6982dcfe8b8a203eda2fc74ac9767e6f737d3",
+        "1cac3640b56eb262fa148ba353234eac3cef0184dd41fa15edef81ebfc6da7d7",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CASES))
+def test_report_digest(case):
+    report, c = _learn_random(*case)
+    files = (report.to_json(), report.to_csv(c.groups))
+    assert tuple(hashlib.sha256(f.encode()).hexdigest() for f in files) == REPORT_CASES[case]
+
+
+def test_no_match_message_at_n3():
+    with pytest.raises(NoMatch) as err:
+        _learn_random(3, "strict", 20000, 0.0, 0)
+    assert (err.value.layer, err.value.qubits) == (1, (0,))
+    assert str(err.value) == (
+        "layer 1: no single-qubit gate within eps=0.2 for qubit 0, nor a two-qubit gate "
+        "on any window containing it; nearest candidates: I: 0.5096, Z: 0.5117, "
+        "H: 0.8100, CNOT on window 0,1: 0.3000, CNOT on window 0,2: 1.0092"
+    )
