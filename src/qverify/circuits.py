@@ -248,21 +248,20 @@ def _entry_to_block(entry, table: dict[str, Gate], n: int, where: str):
     return qubits, gate
 
 
-def _pad_identity(blocks, gates, n: int, table: dict[str, Gate], where: str):
+def _padded_layer(blocks, gates, n: int, table: dict[str, Gate], where: str) -> Layer:
+    """The layer of ``blocks`` and ``gates``, with the identity on every idle qubit."""
     covered = {q for b in blocks for q in b}
     missing = [q for q in range(n) if q not in covered]
-    if not missing:
-        return blocks, gates
-    try:
-        ident = _resolve_gate("I", table)
-    except UnknownGateName:
-        raise InvalidPartition(
-            f"{where}: qubits {missing} idle but the gate set has no identity"
-        )
-    for q in missing:
-        blocks.append((q,))
-        gates.append(ident)
-    return blocks, gates
+    if missing:
+        try:
+            ident = _resolve_gate("I", table)
+        except UnknownGateName:
+            raise InvalidPartition(
+                f"{where}: qubits {missing} idle but the gate set has no identity"
+            )
+        blocks = list(blocks) + [(q,) for q in missing]
+        gates = list(gates) + [ident] * len(missing)
+    return Layer(tuple(blocks), tuple(gates))
 
 
 def _parse_strict_layer(entries, table, n, where) -> Layer:
@@ -274,8 +273,7 @@ def _parse_strict_layer(entries, table, n, where) -> Layer:
     flat = [q for b in blocks for q in b]
     if len(set(flat)) != len(flat):
         raise InvalidPartition(f"{where}: blocks overlap")
-    blocks, gates = _pad_identity(blocks, gates, n, table, where)
-    return Layer(tuple(blocks), tuple(gates))
+    return _padded_layer(blocks, gates, n, table, where)
 
 
 def normalize_slice(apps, table, n, where) -> list[Layer]:
@@ -302,26 +300,17 @@ def normalize_slice(apps, table, n, where) -> list[Layer]:
             single_rounds[-1][b[0]] = g
         else:
             double_blocks.append((b, g))
-    layers: list[Layer] = []
-    for rnd in single_rounds:
-        blocks = [(q,) for q in rnd]
-        gates = [rnd[q] for q in rnd]
-        blocks, gates = _pad_identity(blocks, gates, n, table, where)
-        layers.append(Layer(tuple(blocks), tuple(gates)))
-    if double_blocks:
-        used: set[int] = set()
-        blocks, gates = [], []
-        for b, g in double_blocks:
-            if used & set(b):
-                raise InvalidPartition(f"{where}: two-qubit gates overlap")
-            used |= set(b)
-            blocks.append(b)
-            gates.append(g)
-        blocks, gates = _pad_identity(blocks, gates, n, table, where)
-        layers.append(Layer(tuple(blocks), tuple(gates)))
-    else:
-        blocks, gates = _pad_identity([], [], n, table, where)
-        layers.append(Layer(tuple(blocks), tuple(gates)))
+    layers = [
+        _padded_layer([(q,) for q in rnd], list(rnd.values()), n, table, where)
+        for rnd in single_rounds
+    ]
+    used: set[int] = set()
+    for b, _ in double_blocks:
+        if used & set(b):
+            raise InvalidPartition(f"{where}: two-qubit gates overlap")
+        used |= set(b)
+    blocks, gates = [b for b, _ in double_blocks], [g for _, g in double_blocks]
+    layers.append(_padded_layer(blocks, gates, n, table, where))
     return layers
 
 

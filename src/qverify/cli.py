@@ -150,7 +150,7 @@ def cmd_sweep_noise(args) -> int:
 def cmd_resolution(args) -> int:
     gs = _gate_set(args.gateset)
     elements = enumerate_config_classes(gs)
-    raw = raw_class_counts(gs)
+    raw = raw_class_counts(elements)
     print("class inventory (raw / distinct):")
     for c in ("C1", "C2", "C3", "C4", "C5"):
         distinct = sum(e.class_id == c for e in elements)

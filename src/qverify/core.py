@@ -132,9 +132,6 @@ class PauliBasis:
     def __len__(self) -> int:
         return len(self.axes)
 
-    def __str__(self) -> str:
-        return "".join(self.axes)
-
 
 # -- state evolution ----------------------------------------------------------
 

@@ -152,19 +152,11 @@ def _match(est: np.ndarray, gates, arity: int, eps: float):
     return None, nearest
 
 
-def _as_matrix(est) -> np.ndarray:
-    if isinstance(est, RdmEstimate):
-        return est.matrix.entries
-    if isinstance(est, DensityMatrix):
-        return est.entries
-    return np.asarray(est, dtype=complex)
-
-
-def match_two_qubit(est, g2, eps: float):
+def match_two_qubit(est: DensityMatrix, g2, eps: float):
     """The unique two-qubit gate within eps in trace distance, or None."""
     if not g2:
         return None
-    hit, _ = _match(_as_matrix(est), g2, 2, eps)
+    hit, _ = _match(est.entries, g2, 2, eps)
     return hit
 
 
@@ -314,15 +306,19 @@ def _shot_record_set(
     return RecordSet(n, _run_settings(device, k, prefix, distinct, counts, rng))
 
 
-def _exact_window_estimates(device: Device, k: int, prefix: LayeredCircuit) -> list[RdmEstimate]:
-    omega = device.ideal_choi_state(prefix, k)
-    out = []
-    for subset in pair_windows(device.n):
-        reduced = pure_marginal_array(omega.amplitudes, sorted(subset), 2 * device.n)
-        out.append(
-            RdmEstimate(subset=subset, matrix=DensityMatrix(4, reduced), compat_counts={})
-        )
-    return out
+def _window_estimates(
+    device: Device, k: int, prefix: LayeredCircuit, shots: int, rng, exact: bool
+) -> list[RdmEstimate]:
+    """Pair-window estimates at ``k``: exact (no compatible-shot counts) or from ``shots``."""
+    n = device.n
+    if not exact:
+        rs = _shot_record_set(device, k, prefix, shots, rng)
+        return [estimate_window(rs, subset) for subset in pair_windows(n)]
+    omega = device.ideal_choi_state(prefix, k).amplitudes
+    return [
+        RdmEstimate(subset, DensityMatrix(4, pure_marginal_array(omega, list(subset), 2 * n)), {})
+        for subset in pair_windows(n)
+    ]
 
 
 def _register_marginal(window: np.ndarray, position: int) -> np.ndarray:
@@ -339,43 +335,28 @@ def _learn_single_full(
     gs: GateSet,
     eps: float,
     rng,
-    mode: str = "shots",
-) -> tuple[Layer, LayerReport, list[RdmEstimate]]:
+    exact: bool,
+) -> tuple[Layer, LayerReport]:
     n = device.n
-    if mode == "exact":
-        estimates = _exact_window_estimates(device, k, prefix)
-    else:
-        rs = _shot_record_set(device, k, prefix, shots, rng)
-        estimates = [estimate_window(rs, subset) for subset in pair_windows(n)]
-
-    report = LayerReport(index=k, structure=(), gates=())
-    by_pair = {est.subset[:2]: est for est in estimates}
-    assigned: dict[int, tuple[tuple[int, ...], Gate, float]] = {}
-    for (i, j), est in by_pair.items():
-        hit = match_two_qubit(est, gs.doubles, eps)
+    estimates = _window_estimates(device, k, prefix, shots, rng, exact)
+    by_pair = {est.subset[:2]: est.matrix for est in estimates}
+    chosen: dict[tuple[int, ...], Gate] = {}
+    distances: dict[str, float] = {}
+    for (i, j), rho in by_pair.items():
+        hit = match_two_qubit(rho, gs.doubles, eps)
         if hit is None:
             continue
-        gate, dist = hit
         for q in (i, j):
-            if q in assigned:
-                raise OverlappingAssignment(
-                    f"qubit {q} claimed by windows {assigned[q][0]} and {(i, j)}"
-                )
-        assigned[i] = ((i, j), gate, dist)
-        assigned[j] = ((i, j), gate, dist)
-        report.distances[f"{i},{j}"] = dist
+            for block in chosen:
+                if q in block:
+                    raise OverlappingAssignment(
+                        f"qubit {q} claimed by windows {block} and {(i, j)}"
+                    )
+        chosen[(i, j)], distances[f"{i},{j}"] = hit
 
-    blocks: list[tuple[int, ...]] = []
-    gates: list[Gate] = []
-    seen_blocks = set()
-    for q, (block, gate, _) in assigned.items():
-        if block not in seen_blocks:
-            seen_blocks.add(block)
-            blocks.append(block)
-            gates.append(gate)
-
+    paired = {q for block in chosen for q in block}
     for j in range(n):
-        if j in assigned:
+        if j in paired:
             continue
         windows = sorted(
             (pair for pair in by_pair if j in pair),
@@ -384,9 +365,8 @@ def _learn_single_full(
         hit = None
         best_nearest: list = []
         for pair in windows:
-            est = by_pair[pair]
             position = 0 if pair[0] == j else 1
-            marg = _register_marginal(est.matrix.entries, position)
+            marg = _register_marginal(by_pair[pair].entries, position)
             found, nearest = _match(marg, gs.singles, 1, eps)
             if found is not None:
                 hit = found
@@ -398,7 +378,7 @@ def _learn_single_full(
             # nearest one of each, since the miss may be an entangler outside eps
             pair_nearest = []
             for a, b in windows:
-                _, nearest = _match(by_pair[(a, b)].matrix.entries, gs.doubles, 2, eps)
+                _, nearest = _match(by_pair[(a, b)].entries, gs.doubles, 2, eps)
                 pair_nearest += [(f"{name} on window {a},{b}", d) for name, d in nearest[:1]]
             also = ", nor a two-qubit gate on any window containing it" if pair_nearest else ""
             raise NoMatch(
@@ -406,24 +386,18 @@ def _learn_single_full(
                 qubits=(j,),
                 nearest=best_nearest[:3] + pair_nearest,
             )
-        gate, dist = hit
-        blocks.append((j,))
-        gates.append(gate)
-        report.distances[f"{j}"] = dist
+        chosen[(j,)], distances[f"{j}"] = hit
 
-    order = np.argsort([b[0] for b in blocks])
-    layer = Layer(
-        tuple(blocks[i] for i in order), tuple(gates[i] for i in order)
-    )
-    report.structure = layer.blocks
-    report.gates = tuple(g.name for g in layer.gates)
+    blocks = sorted(chosen)
+    layer = Layer(tuple(blocks), tuple(chosen[b] for b in blocks))
+    report = LayerReport(k, layer.blocks, tuple(g.name for g in layer.gates), distances)
+    report.warnings = [
+        f"window {est.subset}: {len(est.low_count_strings)} low-count strings"
+        for est in estimates
+        if est.low_count_strings
+    ]
     _fill_window_diagnostics(report, layer, n, by_pair)
-    for est in estimates:
-        if getattr(est, "low_count_strings", ()):
-            report.warnings.append(
-                f"window {est.subset}: {len(est.low_count_strings)} low-count strings"
-            )
-    return layer, report, estimates
+    return layer, report
 
 
 def _fill_window_diagnostics(report: LayerReport, layer: Layer, n: int, by_pair: dict) -> None:
@@ -434,14 +408,12 @@ def _fill_window_diagnostics(report: LayerReport, layer: Layer, n: int, by_pair:
     near-pure states and biases their purity low by more than the shot noise.
     """
     ideal = choi_state(layer_unitary(layer, n), n).amplitudes
-    for (i, j), est in by_pair.items():
+    for (i, j), rho in by_pair.items():
         window_ideal = pure_marginal_array(ideal, sorted((i, j, i + n, j + n)), 2 * n)
-        report.fidelities[f"{i},{j}"] = relative_fidelity_array(
-            est.matrix.entries, window_ideal
-        )
+        report.fidelities[f"{i},{j}"] = relative_fidelity_array(rho.entries, window_ideal)
         for q, pos in ((i, 0), (j, 1)):
             if str(q) not in report.purities:
-                est_marg = _register_marginal(est.matrix.entries, pos)
+                est_marg = _register_marginal(rho.entries, pos)
                 _register_row(report, str(q), est_marg, _register_marginal(window_ideal, pos))
 
 
@@ -473,7 +445,7 @@ def learn_single(
         raise InvalidParameter(f"unknown estimator mode {mode!r}: use shots or exact")
     check_learn_parameters(device.n, shots, eps, modes[mode])
     _warn_eps(gs, eps)
-    layer, _, _ = _learn_single_full(device, k, inverse_prefix, shots, gs, eps, rng, mode)
+    layer, _ = _learn_single_full(device, k, inverse_prefix, shots, gs, eps, rng, mode == "exact")
     return layer
 
 
@@ -503,7 +475,7 @@ def minimize_residual(rho: DensityMatrix, g1) -> tuple[Gate, float]:
     """Gate minimizing 1 - <Bell| (g^dag x I) rho (g x I) |Bell>."""
     if not g1:
         raise EmptyGateSet("residual search needs at least one candidate")
-    entries = _as_matrix(rho)
+    entries = rho.entries
     best: tuple[Gate, float] | None = None
     for gate in g1:
         v = np.kron(gate.matrix, np.eye(2)) @ _BELL
@@ -558,18 +530,14 @@ def _learn_layer_hardware(
     report = LayerReport(index=k, structure=(), gates=())
     report.cnot_detected = detect_cnot_by_purity(tuple(regs1))
 
-    entangler: Gate | None = None
     if report.cnot_detected:
-        entangler, regs2 = _identify_entangler(
+        entangler, searches = _identify_entangler(
             device, k, prefix, shots_per_setting, gs, rng, regs1
         )
         report.warnings.append("second round executed to undo the entangling gate")
     else:
-        regs2 = regs1
-
-    searches = [minimize_residual(reg, gs.singles) for reg in regs2]
-    for q, (gate, residual) in enumerate(searches):
-        report.residuals[str(q)] = residual
+        entangler, searches = None, [minimize_residual(reg, gs.singles) for reg in regs1]
+    report.residuals = {str(q): residual for q, (_, residual) in enumerate(searches)}
 
     single_gates = [gate for gate, _ in searches]
     ident = gs.identity
@@ -588,16 +556,14 @@ def _learn_layer_hardware(
         layers.append(Layer(((0,), (1,)), tuple(single_gates)))
         layers.append(Layer(((0, 1),), (entangler,)))
 
-    merged_blocks = tuple(b for layer in layers for b in layer.blocks)
-    merged_gates = tuple(g.name for layer in layers for g in layer.gates)
-    report.structure = merged_blocks
-    report.gates = merged_gates
+    report.structure = tuple(b for layer in layers for b in layer.blocks)
+    report.gates = tuple(g.name for layer in layers for g in layer.gates)
     _fill_register_diagnostics(report, layers, n, raw1)
     return layers, report
 
 
 def _identify_entangler(device, k, prefix, shots_per_setting, gs, rng, regs1):
-    """Pick the entangling gate whose ideal marginals best explain round one."""
+    """The entangler best explaining round one, and its undo round's residual searches."""
     if not gs.doubles:
         raise NoMatch("entanglement detected but the gate set has no two-qubit gate")
     scored = []
@@ -614,13 +580,15 @@ def _identify_entangler(device, k, prefix, shots_per_setting, gs, rng, regs1):
     for gate in near_best:
         undo = Layer(((0, 1),), (gate.dagger(),))
         rs2 = _dedicated_record_set(device, k, prefix, shots_per_setting, rng, undo=undo)
-        regs2 = [
-            project_to_physical(estimate_window(rs2, (q, q + device.n)))
+        searches = [
+            minimize_residual(
+                project_to_physical(estimate_window(rs2, (q, q + device.n)).matrix), gs.singles
+            )
             for q in range(2)
         ]
-        total = sum(minimize_residual(r, gs.singles)[1] for r in regs2)
+        total = sum(residual for _, residual in searches)
         if best is None or total < best[0]:
-            best = (total, gate, regs2)
+            best = (total, gate, searches)
     return best[1], best[2]
 
 
@@ -690,9 +658,8 @@ def learn_multi(
                 layers, rep = _learn_layer_hardware(device, k, prefix, shots, gs, layer_rng)
                 learned.extend(layers)
             else:
-                estimator = "exact" if mode == "strict-exact" else "shots"
-                layer, rep, _ = _learn_single_full(
-                    device, k, prefix, shots, gs, eps, layer_rng, estimator
+                layer, rep = _learn_single_full(
+                    device, k, prefix, shots, gs, eps, layer_rng, mode == "strict-exact"
                 )
                 learned.append(layer)
             reports.append(rep)

@@ -132,10 +132,12 @@ def enumerate_config_classes(gs: GateSet) -> list[ConfigElement]:
     return merged
 
 
-def raw_class_counts(gs: GateSet) -> dict[str, int]:
+def raw_class_counts(elements: list[ConfigElement]) -> dict[str, int]:
+    """Raw configurations per class: every provenance the merged elements carry."""
     counts: dict[str, int] = {c: 0 for c in ("C1", "C2", "C3", "C4", "C5")}
-    for prov, _ in _raw_elements(gs):
-        counts[prov.class_id] += 1
+    for elem in elements:
+        for prov in elem.provenance:
+            counts[prov.class_id] += 1
     return counts
 
 

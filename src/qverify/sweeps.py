@@ -100,7 +100,7 @@ def sweep_samples(n: int, shots_list: list[int], seeds: int, seed: int) -> str:
         for N in shots_list:
             counts = _sample_setting_counts(probs, N, rng)
             for s in subsets:
-                est = project_to_physical(estimate_from(_marginal_counts(counts, s, n), s))
+                est = project_to_physical(estimate_from(_marginal_counts(counts, s, n), s).matrix)
                 fidelities[(len(s), N)].append(relative_fidelity_array(est.entries, ideal[s]))
     lines = ["m,N,mean_fidelity,std"]
     for m in window_sizes:

@@ -219,10 +219,6 @@ class RdmEstimate:
     compat_counts: dict[str, int]
     low_count_strings: tuple[str, ...] = ()
 
-    @property
-    def m(self) -> int:
-        return len(self.subset)
-
 
 def estimate_window(rs: RecordSet, subset: tuple[int, ...]) -> RdmEstimate:
     return estimate_from(cell_counts(rs, subset), subset)
@@ -263,9 +259,8 @@ def pair_windows(n: int) -> list[tuple[int, ...]]:
 # -- physical projection and perturbation ----------------------------------------
 
 
-def project_to_physical(est: RdmEstimate | DensityMatrix) -> DensityMatrix:
+def project_to_physical(dm: DensityMatrix) -> DensityMatrix:
     """Nearest density matrix by eigenvalue clipping and renormalization."""
-    dm = est.matrix if isinstance(est, RdmEstimate) else est
     w, v = np.linalg.eigh(dm.entries)
     w = np.clip(w, 0.0, None)
     fixed = (v * w) @ v.conj().T

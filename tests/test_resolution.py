@@ -34,7 +34,7 @@ class TestEnumeration:
         assert elems[0].class_id == "C1"
 
     def test_raw_counts_for_reference_set(self):
-        counts = raw_class_counts(four_gate_set())
+        counts = raw_class_counts(enumerate_config_classes(four_gate_set()))
         assert counts["C1"] == 16
         assert counts["C2"] == 2
 
