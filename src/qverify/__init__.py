@@ -2,7 +2,7 @@
 
 The package simulates a black-box layered device, reconstructs its hidden
 circuit from shot-based pseudo-measurement tomography, and reproduces the
-desk-scale verification experiments: per-layer gate matching against the
+desk-scale verification experiments: certified per-layer decoding against the
 pair-window configuration classes, purity-based entangler detection, and the
 sampling / noise sweeps.
 """

@@ -113,16 +113,16 @@ def cmd_reconstruct(args) -> int:
     noise = NoiseConfig(depolarizing_p=noise_p if args.noise_p is None else args.noise_p)
     device = Device(DeviceProfile(circuit.n, circuit.depth, t, circuit), noise)
     eps = None if mode == "hardware" else 0.2 if args.eps is None else args.eps
-    check_learn_parameters(circuit.n, args.shots, eps, mode)  # before any note is printed
+    delta = 0.05 if args.delta is None else args.delta
+    check_learn_parameters(circuit.n, args.shots, eps, mode, delta)  # before any note is printed
     if mode == "strict":
-        delta = 0.05 if args.delta is None else args.delta
         bound = required_samples(4, circuit.n, max(circuit.depth, 1), eps, delta)
         if args.shots < bound:
             print(
                 f"note: {args.shots} shots per layer is a desk-scale run; the "
                 f"eps={eps}, delta={delta} guarantee asks for {bound}"
             )
-    report = learn_multi(device, args.shots, gs, eps, stream(seed), mode=mode)
+    report = learn_multi(device, args.shots, gs, eps, stream(seed), mode=mode, delta=delta)
     out = Path(args.out)
     _write(out / "report.json", report.to_json())
     _write(out / "report.csv", report.to_csv(circuit.groups))

@@ -4,8 +4,18 @@ Strict mode follows the sampling protocol exactly: every shot prepares a
 pseudo-measurement product state (classically sampled ancilla basis and
 outcomes), runs the learned-inverse prefix plus the hidden circuit up to the
 target layer, and measures a uniformly random Pauli basis. The pooled records
-feed overlapping tomography of all pair windows; two-qubit gates are matched
-first, remaining qubits are matched from traced window marginals.
+feed overlapping tomography of all pair windows. Each window is decoded
+against the gate set's configuration elements: every Pauli coefficient gets a
+Hoeffding box from its compatible-shot count, and a window is certified when
+its boxes admit exactly one element, up to one contraction in [0.3, 1] that
+absorbs depolarizing noise. The certified elements settle every qubit once,
+as a local gate or as half of an in-window two-qubit gate; with probability
+at least 1 - delta every box holds the truth, so a returned layer is right.
+
+strict-exact runs the same decoder on the infinite-shot oracle's windows with
+zero-width boxes. :func:`match_two_qubit`, the older trace-distance rule
+within a tolerance ``eps``, is kept as a library function; no learning mode
+calls it.
 
 Hardware mode replicates the two-qubit experimental shortcut instead: only the
 per-register marginals (i, i') are estimated, with dedicated Pauli settings; an
@@ -16,6 +26,7 @@ and the residual overlap with the Bell state identifies the local gates.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -49,8 +60,13 @@ from .errors import (
 )
 from .gates import Gate, GateSet, gates_equivalent
 from .rng import stream
-from .resolution import cached_resolution
-from .tomography import RecordSet, RdmEstimate, estimate_window, pair_windows, project_to_physical
+from .resolution import MERGE_TOL, CoefficientTable, Provenance, coefficient_table
+# perfbench/spans.py wraps reconstruction.cached_resolution by this name
+from .resolution import cached_resolution  # noqa: F401
+from .tomography import (
+    RecordSet, RdmEstimate, estimate_window, pair_windows, pauli_coefficients,
+    project_to_physical,
+)
 
 # A register purity below this marks an entangling gate (hardware mode and
 # the continuous-gate noise sweep).
@@ -132,24 +148,24 @@ def _candidates(gates: tuple[Gate, ...], arity: int) -> tuple[tuple[Gate, np.nda
     return tuple(out)
 
 
+def _distances(est: np.ndarray, gates, arity: int) -> list[tuple[str, float]]:
+    """(name, trace distance) of each candidate's Choi state from ``est``, nearest first."""
+    candidates = _candidates(tuple(gates), arity)
+    nearest = [(g.name, trace_distance_array(est, choi)) for g, choi in candidates]
+    return sorted(nearest, key=lambda pair: pair[1])
+
+
 def _match(est: np.ndarray, gates, arity: int, eps: float):
-    hits = []
-    nearest = []
-    for gate, choi in _candidates(tuple(gates), arity):
-        dist = trace_distance_array(est, choi)
-        nearest.append((gate.name, dist))
-        if dist < eps:
-            hits.append((gate, dist))
-    nearest.sort(key=lambda pair: pair[1])
+    nearest = _distances(est, gates, arity)
+    by_name = {g.name: g for g in gates}
+    hits = [(by_name[name], d) for name, d in nearest if d < eps]
     if len(hits) > 1:
         listing = ", ".join(f"{g.name} at {d:.4f}" for g, d in hits)
         raise AmbiguousMatch(
             f"{len(hits)} gates within eps={eps}: {listing} "
             "(tolerance exceeds the gate-set resolution, or the data is corrupted)"
         )
-    if hits:
-        return hits[0], nearest
-    return None, nearest
+    return (hits[0] if hits else None), nearest
 
 
 def match_two_qubit(est: DensityMatrix, g2, eps: float):
@@ -315,9 +331,11 @@ def _window_estimates(
         rs = _shot_record_set(device, k, prefix, shots, rng)
         return [estimate_window(rs, subset) for subset in pair_windows(n)]
     omega = device.ideal_choi_state(prefix, k).amplitudes
+    windows = pair_windows(n)
+    rhos = np.stack([pure_marginal_array(omega, list(subset), 2 * n) for subset in windows])
     return [
-        RdmEstimate(subset, DensityMatrix(4, pure_marginal_array(omega, list(subset), 2 * n)), {})
-        for subset in pair_windows(n)
+        RdmEstimate(subset, DensityMatrix(4, rho), coeffs)
+        for subset, rho, coeffs in zip(windows, rhos, pauli_coefficients(rhos))
     ]
 
 
@@ -327,67 +345,174 @@ def _register_marginal(window: np.ndarray, position: int) -> np.ndarray:
     return partial_trace_array(window, keep, 4)
 
 
+# -- certified window decoding ---------------------------------------------------------
+
+# The smallest contraction of an element's non-identity coefficients that a
+# box may admit: a depolarized window is about lambda * element, lambda < 1.
+MIN_CONTRACTION = 0.3
+
+
+def _boxes(estimates: list[RdmEstimate], log_term: float) -> tuple[np.ndarray, np.ndarray]:
+    """(windows, 4^m) coefficients and Hoeffding half-widths ``sqrt(2 * log_term / count)``.
+
+    A string with no compatible shot is unbounded; exact estimates get zero
+    width, floored at MERGE_TOL like the element merge. The identity column
+    is set to 0 with an unbounded box: every element's identity coefficient
+    is 1, and that column pads the coefficient table.
+    """
+    c = np.stack([est.coefficients for est in estimates])
+    if estimates[0].counts is None:
+        h = np.full(c.shape, MERGE_TOL)
+    else:
+        with np.errstate(divide="ignore"):
+            h = np.sqrt(2.0 * log_term / np.stack([est.counts for est in estimates]))
+    c[:, 0], h[:, 0] = 0.0, np.inf
+    return c, h
+
+
+def _admitted(c: np.ndarray, h: np.ndarray, table: CoefficientTable) -> np.ndarray:
+    """(windows, elements) mask: which elements each window's box admits.
+
+    Element e is admitted when one lambda in [MIN_CONTRACTION, 1] puts every
+    coefficient c_P within h_P of lambda * e_P. A string where e_P = 0 needs
+    |c_P| <= h_P, so every string whose box excludes 0 must lie in e's
+    support; this is tested first, as one product with the support matrix.
+    Each nonzero e_P then bounds lambda to an interval, and the intervals
+    must meet; only the pairs that passed the first test are read.
+    """
+    outside = (np.abs(c) > h).astype(float)
+    admitted = outside @ table.support.T == outside.sum(axis=1, keepdims=True)
+    w, e = np.nonzero(admitted)
+    rows, index, value = w[:, None], table.index[e], table.value[e]
+    ratio, slack = c[rows, index] / value, h[rows, index] / np.abs(value)
+    low = np.maximum((ratio - slack).max(axis=1, initial=-np.inf), MIN_CONTRACTION)
+    high = np.minimum((ratio + slack).min(axis=1, initial=np.inf), 1.0)
+    admitted[w, e] = low <= high
+    return admitted
+
+
+def _claims(prov: Provenance, i: int, j: int) -> tuple[tuple, tuple]:
+    """What a certified element says of w1 = i and w2 = j.
+
+    A claim is ``(block, gate name)``, or ``(None, window)`` for a qubit paired
+    with a qubit outside the window.
+    """
+    outside = (None, (i, j))
+    if prov.class_id == "C1":
+        return ((i,), prov.gates[0]), ((j,), prov.gates[1])
+    if prov.class_id == "C2":
+        return ((i, j), prov.gates[0]), ((i, j), prov.gates[0])
+    if prov.class_id == "C3":
+        return ((i,), prov.gates[0]), outside
+    if prov.class_id == "C4":
+        return outside, ((j,), prov.gates[0])
+    return outside, outside
+
+
+def _agree(a: tuple, b: tuple) -> bool:
+    """Two claims on one qubit can both hold."""
+    if a[0] is None and b[0] is None:
+        return True
+    if a[0] is None or b[0] is None:
+        block = a[0] or b[0]
+        window = b[1] if a[0] else a[1]
+        return len(block) == 2 and block != window
+    return a == b
+
+
+def _decode_windows(
+    estimates: list[RdmEstimate], gs: GateSet, n: int, log_term: float
+) -> tuple[dict[tuple[int, ...], Gate], dict[str, float]]:
+    """Certify each window, settle every qubit once, and return the gates by block.
+
+    A window is certified when its box admits exactly one element of
+    :func:`coefficient_table`. Its provenance settles both window qubits; a
+    claim that contradicts another window's raises OverlappingAssignment, and
+    a qubit no certified window settles raises NoMatch. The distances are
+    each C2 window's, and each single qubit's from the register marginal of
+    the first window, in partner order, that settled it.
+    """
+    table = coefficient_table(gs)
+    admitted = _admitted(*_boxes(estimates, log_term), table)
+    by_name = {g.name: g for g in gs.singles + gs.doubles}
+    choi = {g.name: m for gates, a in ((gs.singles, 1), (gs.doubles, 2))
+            for g, m in _candidates(tuple(gates), a)}
+    claims: dict[int, list[tuple[tuple, tuple[int, int]]]] = {q: [] for q in range(n)}
+    chosen: dict[tuple[int, ...], Gate] = {}
+    distances: dict[str, float] = {}
+    # windows run in (i, j) order, which visits each qubit's windows in partner order
+    for est, row in zip(estimates, admitted):
+        hits = np.flatnonzero(row)
+        if len(hits) != 1:
+            continue
+        i, j = est.subset[:2]
+        for q, claim in zip((i, j), _claims(table.elements[hits[0]].provenance[0], i, j)):
+            for other, window in claims[q]:
+                if not _agree(claim, other):
+                    raise OverlappingAssignment(
+                        f"qubit {q} claimed by windows {window} and {(i, j)}"
+                    )
+            claims[q].append((claim, (i, j)))
+            block, name = claim
+            if block is None or block in chosen:
+                continue
+            chosen[block] = by_name[name]
+            rho = est.matrix.entries
+            if len(block) == 1:
+                rho = _register_marginal(rho, int(q == j))
+            distances[",".join(map(str, block))] = trace_distance_array(rho, choi[name])
+    for q in range(n):
+        if all(block is None for (block, _), _ in claims[q]):
+            raise _unsettled(q, estimates, admitted, table, gs)
+    return chosen, distances
+
+
+def _unsettled(q: int, estimates, admitted, table: CoefficientTable, gs: GateSet) -> NoMatch:
+    """NoMatch for qubit ``q``: what each window holding it admitted, and the nearest gates.
+
+    The nearest candidates are the three single-qubit gates closest to the
+    best register marginal of ``q``, then the nearest two-qubit gate of each
+    window, all in trace distance and in partner order.
+    """
+    outcomes, best, pairs = [], [], []
+    for est, row in zip(estimates, admitted):
+        i, j = est.subset[:2]
+        if q not in (i, j):
+            continue
+        hits = np.flatnonzero(row)
+        if len(hits) == 1:
+            done = f"certified [{table.elements[hits[0]].provenance[0].detail}]"
+        else:
+            done = f"admitted {len(hits)} elements" if len(hits) else "admitted nothing"
+        outcomes.append(f"window {i},{j} {done}")
+        marginal = _register_marginal(est.matrix.entries, int(q == j))
+        nearest = _distances(marginal, gs.singles, 1)
+        if nearest and (not best or nearest[0][1] < best[0][1]):
+            best = nearest
+        pairs += [(f"{name} on window {i},{j}", d)
+                  for name, d in _distances(est.matrix.entries, gs.doubles, 2)[:1]]
+    return NoMatch(
+        f"no certified window settles qubit {q}: {', '.join(outcomes)}",
+        qubits=(q,),
+        nearest=best[:3] + pairs,
+    )
+
+
 def _learn_single_full(
     device: Device,
     k: int,
     prefix: LayeredCircuit,
     shots: int,
     gs: GateSet,
-    eps: float,
+    delta: float,
     rng,
     exact: bool,
 ) -> tuple[Layer, LayerReport]:
     n = device.n
     estimates = _window_estimates(device, k, prefix, shots, rng, exact)
-    by_pair = {est.subset[:2]: est.matrix for est in estimates}
-    chosen: dict[tuple[int, ...], Gate] = {}
-    distances: dict[str, float] = {}
-    for (i, j), rho in by_pair.items():
-        hit = match_two_qubit(rho, gs.doubles, eps)
-        if hit is None:
-            continue
-        for q in (i, j):
-            for block in chosen:
-                if q in block:
-                    raise OverlappingAssignment(
-                        f"qubit {q} claimed by windows {block} and {(i, j)}"
-                    )
-        chosen[(i, j)], distances[f"{i},{j}"] = hit
-
-    paired = {q for block in chosen for q in block}
-    for j in range(n):
-        if j in paired:
-            continue
-        windows = sorted(
-            (pair for pair in by_pair if j in pair),
-            key=lambda pair: pair[0] if pair[1] == j else pair[1],
-        )
-        hit = None
-        best_nearest: list = []
-        for pair in windows:
-            position = 0 if pair[0] == j else 1
-            marg = _register_marginal(by_pair[pair].entries, position)
-            found, nearest = _match(marg, gs.singles, 1, eps)
-            if found is not None:
-                hit = found
-                break
-            if not best_nearest or nearest[0][1] < best_nearest[0][1]:
-                best_nearest = nearest
-        if hit is None:
-            # no window containing j matched a two-qubit gate either; name the
-            # nearest one of each, since the miss may be an entangler outside eps
-            pair_nearest = []
-            for a, b in windows:
-                _, nearest = _match(by_pair[(a, b)].entries, gs.doubles, 2, eps)
-                pair_nearest += [(f"{name} on window {a},{b}", d) for name, d in nearest[:1]]
-            also = ", nor a two-qubit gate on any window containing it" if pair_nearest else ""
-            raise NoMatch(
-                f"no single-qubit gate within eps={eps} for qubit {j}{also}",
-                qubits=(j,),
-                nearest=best_nearest[:3] + pair_nearest,
-            )
-        chosen[(j,)], distances[f"{j}"] = hit
-
+    # delta split over the 255 non-identity strings of C(n, 2) windows and d layers
+    log_term = math.log(2 * 255 * math.comb(n, 2) * device.d / delta)
+    chosen, distances = _decode_windows(estimates, gs, n, log_term)
     blocks = sorted(chosen)
     layer = Layer(tuple(blocks), tuple(chosen[b] for b in blocks))
     report = LayerReport(k, layer.blocks, tuple(g.name for g in layer.gates), distances)
@@ -396,7 +521,7 @@ def _learn_single_full(
         for est in estimates
         if est.low_count_strings
     ]
-    _fill_window_diagnostics(report, layer, n, by_pair)
+    _fill_window_diagnostics(report, layer, n, {est.subset[:2]: est.matrix for est in estimates})
     return layer, report
 
 
@@ -434,29 +559,23 @@ def learn_single(
     eps: float,
     rng,
     mode: str = "shots",
+    delta: float = 0.05,
 ) -> Layer:
     """Reconstruct the layer reached at interruption point ``k``.
 
     ``mode`` "shots" or "exact" is checked like :func:`learn_multi`'s
-    "strict" or "strict-exact" before the device runs.
+    "strict" or "strict-exact" before the device runs, and decoded the same
+    way, with ``delta`` the failure probability of its boxes.
     """
     modes = {"shots": "strict", "exact": "strict-exact"}
     if mode not in modes:
         raise InvalidParameter(f"unknown estimator mode {mode!r}: use shots or exact")
-    check_learn_parameters(device.n, shots, eps, modes[mode])
-    _warn_eps(gs, eps)
-    layer, _ = _learn_single_full(device, k, inverse_prefix, shots, gs, eps, rng, mode == "exact")
+    check_learn_parameters(device.n, shots, eps, modes[mode], delta)
+    coefficient_table(gs)  # a degenerate gate set raises before the device runs
+    layer, _ = _learn_single_full(
+        device, k, inverse_prefix, shots, gs, delta, rng, mode == "exact"
+    )
     return layer
-
-
-def _warn_eps(gs: GateSet, eps: float) -> None:
-    res = cached_resolution(gs)
-    if eps >= res:
-        warnings.warn(
-            f"eps={eps} is not below the gate-set resolution {res:.4f}; "
-            "matching may be ambiguous",
-            stacklevel=3,
-        )
 
 
 # -- hardware-style heuristics ------------------------------------------------------
@@ -604,12 +723,14 @@ def _fill_register_diagnostics(report, layers, n, raw1) -> None:
 # -- multi-layer learning -------------------------------------------------------------
 
 
-def check_learn_parameters(n: int, shots: int, eps: float | None, mode: str) -> None:
+def check_learn_parameters(
+    n: int, shots: int, eps: float | None, mode: str, delta: float = 0.05
+) -> None:
     """Raise InvalidParameter for a call :func:`learn_multi` would refuse.
 
     Refused: a mode other than strict, strict-exact or hardware; n < 2 qubits,
-    or n != 2 in hardware mode; ``shots < 1`` where shots are drawn; and
-    ``eps <= 0`` where it is the matching tolerance.
+    or n != 2 in hardware mode; ``shots < 1`` where shots are drawn; and, in
+    the strict modes, ``eps <= 0`` or ``delta`` outside (0, 1).
     """
     if mode not in ("strict", "strict-exact", "hardware"):
         raise InvalidParameter(f"unknown mode {mode!r}: use strict, strict-exact or hardware")
@@ -621,6 +742,8 @@ def check_learn_parameters(n: int, shots: int, eps: float | None, mode: str) -> 
         raise InvalidParameter(f"shots={shots} must be at least 1 in {mode} mode")
     if mode in ("strict", "strict-exact") and not eps > 0:
         raise InvalidParameter(f"eps={eps} must be positive in {mode} mode")
+    if mode in ("strict", "strict-exact") and not 0 < delta < 1:
+        raise InvalidParameter(f"delta={delta} must lie in (0, 1) in {mode} mode")
 
 
 def learn_multi(
@@ -630,21 +753,29 @@ def learn_multi(
     eps: float,
     rng,
     mode: str = "strict",
+    delta: float = 0.05,
 ) -> ReconstructionReport:
     """Reconstruct every layer recursively, re-applying learned inverses.
 
-    ``mode`` is "strict" (random-setting overlapping tomography, Choi-state
-    matching), "strict-exact" (same assembly driven by the infinite-shot
+    ``mode`` is "strict" (random-setting overlapping tomography and certified
+    window decoding), "strict-exact" (same decoder driven by the infinite-shot
     oracle), or "hardware" (dedicated settings, purity detection, residual
     search). ``shots`` counts shots per layer in strict mode and shots per
-    setting per round in hardware mode; strict-exact ignores it. ``eps`` is
-    the matching tolerance of the strict modes; hardware mode picks gates by
-    purity and residual and ignores it. Every parameter is checked by
-    :func:`check_learn_parameters` before the device runs.
+    setting per round in hardware mode; strict-exact ignores it.
+
+    The strict modes decode each pair window against the gate set's
+    configuration elements: a per-coefficient Hoeffding box, at total failure
+    probability ``delta`` over every string, window and layer, must admit
+    exactly one element, allowing one contraction in [0.3, 1] for noise.
+    strict-exact uses boxes of zero width. ``eps`` is still checked but no
+    longer read, and hardware mode picks gates by purity and residual and
+    ignores both. Every parameter is checked by :func:`check_learn_parameters`
+    before the device runs, and a degenerate gate set raises DegenerateGateSet
+    before it too.
     """
-    check_learn_parameters(device.n, shots, eps, mode)
+    check_learn_parameters(device.n, shots, eps, mode, delta)
     if mode in ("strict", "strict-exact"):
-        _warn_eps(gs, eps)
+        coefficient_table(gs)  # a degenerate gate set raises before the device runs
 
     learned: list[Layer] = []
     reports: list[LayerReport] = []
@@ -659,7 +790,7 @@ def learn_multi(
                 learned.extend(layers)
             else:
                 layer, rep = _learn_single_full(
-                    device, k, prefix, shots, gs, eps, layer_rng, mode == "strict-exact"
+                    device, k, prefix, shots, gs, delta, layer_rng, mode == "strict-exact"
                 )
                 learned.append(layer)
             reports.append(rep)

@@ -14,7 +14,9 @@ structures, depending on where two-qubit gates sit relative to the window:
 Every element is built by the same oracle-checkable path: embed the gates on a
 2-, 3- or 4-qubit line, form the full Choi state, and partial-trace down to
 the window wires (w1, w2, w1', w2'). The resolution is half the minimum trace
-distance between distinct elements; a matching tolerance must stay below it.
+distance between distinct elements. :func:`coefficient_table` lists each
+element's nonzero Pauli coefficients, the form the strict-mode window decoder
+tests against.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .circuits import Layer, choi_state, layer_unitary
 from .core import DensityMatrix, pure_marginal_array, trace_distance_array
 from .errors import DegenerateGateSet, EmptyGateSet
 from .gates import GateSet
+from .tomography import pauli_coefficients
 
 MERGE_TOL = 1e-9
 
@@ -141,6 +144,16 @@ def raw_class_counts(elements: list[ConfigElement]) -> dict[str, int]:
     return counts
 
 
+def _check_distinct(elements: list[ConfigElement]) -> None:
+    """Raise DegenerateGateSet if an element merged materially different configurations."""
+    bad = [e for e in elements if len(e.keys) > 1]
+    if bad:
+        details = "; ".join(
+            " == ".join(p.detail for p in e.provenance[:4]) for e in bad[:3]
+        )
+        raise DegenerateGateSet(f"indistinguishable configurations: {details}")
+
+
 def gate_set_resolution(gs: GateSet, elements: list[ConfigElement] | None = None) -> float:
     """Half the minimum pairwise trace distance between distinct elements.
 
@@ -150,16 +163,43 @@ def gate_set_resolution(gs: GateSet, elements: list[ConfigElement] | None = None
     """
     if elements is None:
         elements = enumerate_config_classes(gs)
-    # merged provenances that matching must be able to tell apart
-    bad = [e for e in elements if len(e.keys) > 1]
-    if bad:
-        details = "; ".join(
-            " == ".join(p.detail for p in e.provenance[:4]) for e in bad[:3]
-        )
-        raise DegenerateGateSet(f"indistinguishable configurations: {details}")
+    _check_distinct(elements)
     if len(elements) < 2:
         return math.inf
     return 0.5 * closest_pair(elements)[2]
+
+
+@dataclass(frozen=True)
+class CoefficientTable:
+    """Each element's nonzero non-identity Pauli coefficients, for the window decoder.
+
+    ``support`` is the (elements, 4^4) 0/1 matrix of those strings, in
+    base-4 digit order. Row e of ``index`` lists their codes (1..255) and of
+    ``value`` the coefficients; short rows are padded with code 0, the
+    identity, and value 1, which a decoder gives an unbounded box.
+    """
+
+    elements: tuple[ConfigElement, ...]
+    support: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def coefficient_table(gs: GateSet) -> CoefficientTable:
+    """The elements of ``gs`` and their coefficients; raises DegenerateGateSet."""
+    elements = enumerate_config_classes(gs)
+    _check_distinct(elements)
+    coeffs = pauli_coefficients(np.stack([e.state.entries for e in elements]))
+    support = np.abs(coeffs) > MERGE_TOL
+    support[:, 0] = False
+    width = max(1, support.sum(axis=1).max())
+    index = np.zeros((len(elements), width), dtype=np.intp)
+    value = np.ones((len(elements), width))
+    for row, codes in enumerate(map(np.flatnonzero, support)):
+        index[row, : len(codes)] = codes
+        value[row, : len(codes)] = coeffs[row, codes]
+    return CoefficientTable(tuple(elements), support.astype(float), index, value)
 
 
 @lru_cache(maxsize=16)

@@ -212,12 +212,43 @@ def _coefficients(counts: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class RdmEstimate:
-    """Linear-inversion window estimate plus per-string compatibility counts."""
+    """Linear-inversion window estimate with its Pauli coefficients and counts.
+
+    ``coefficients`` holds all 4^m coefficients in base-4 digit order, the
+    identity's first; ``counts`` the compatible-shot count of each string, or
+    None for an exact (infinite-shot) estimate.
+    """
 
     subset: tuple[int, ...]
     matrix: DensityMatrix
-    compat_counts: dict[str, int]
+    coefficients: np.ndarray
+    counts: np.ndarray | None = None
     low_count_strings: tuple[str, ...] = ()
+
+    @property
+    def compat_counts(self) -> dict[str, int]:
+        """Compatible-shot count per Pauli string; empty for an exact estimate."""
+        if self.counts is None:
+            return {}
+        return dict(zip(_pauli_strings(len(self.subset)), self.counts.tolist()))
+
+
+_PAULI_STACK = np.stack([PAULIS[c] for c in PAULI_LETTERS])
+
+
+def pauli_coefficients(matrices: np.ndarray) -> np.ndarray:
+    """Every coefficient tr(Q rho), base-4 digit order, of each (..., 2^m, 2^m) matrix.
+
+    Contracts each wire's row and column index with the four Paulis in turn,
+    so no 4^m x 4^m table is built.
+    """
+    batch = matrices.ndim - 2
+    m = matrices.shape[-1].bit_length() - 1
+    out = matrices.reshape(*matrices.shape[:-2], *[2] * (2 * m))
+    for j in range(m):
+        # wire j's row index is axis `batch`, its column index `batch + m - j`
+        out = np.tensordot(out, _PAULI_STACK, axes=([batch, batch + m - j], [2, 1]))
+    return out.reshape(*matrices.shape[:-2], 4**m).real
 
 
 def estimate_window(rs: RecordSet, subset: tuple[int, ...]) -> RdmEstimate:
@@ -242,7 +273,8 @@ def estimate_from(counts: np.ndarray, subset: tuple[int, ...]) -> RdmEstimate:
     return RdmEstimate(
         subset=subset,
         matrix=DensityMatrix(m, matrix),
-        compat_counts=dict(zip(strings, compat.tolist())),
+        coefficients=coeffs,
+        counts=compat,
         low_count_strings=tuple(
             strings[i] for i in np.flatnonzero(compat < LOW_COMPAT_THRESHOLD)
         ),

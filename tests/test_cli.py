@@ -215,6 +215,15 @@ class TestReconstructCommand:
         assert run(base + ["--eps", "0.2", "--delta", "0.05", "--out", str(explicit)]) in (0, 1)
         assert capsys.readouterr().out == note
 
+    def test_delta_reaches_the_decoder(self, tmp_path, demo_file, capsys):
+        base = ["reconstruct", "--circuit", str(demo_file), "--mode", "strict",
+                "--shots", "1000", "--seed", "3"]
+        assert run(base + ["--out", str(tmp_path / "default")]) == 0
+        # a smaller failure probability widens every box: at 1000 shots per
+        # layer they no longer single out one configuration
+        assert run(base + ["--delta", "1e-9", "--out", str(tmp_path / "wide")]) == 1
+        assert "no certified window settles qubit" in capsys.readouterr().err
+
     def test_exact_mode_ignores_shots(self, tmp_path, demo_file):
         out = tmp_path / "out"
         rc = run([

@@ -23,18 +23,22 @@ from qverify.core import (
     exact_pauli_distribution,
     partial_trace_array,
 )
-from qverify.device import Device, DeviceProfile, device_time_for_learning
+from qverify.device import Device, DeviceProfile, NoiseConfig, device_time_for_learning
 from qverify.errors import (
     AmbiguousMatch,
+    DegenerateGateSet,
     EmptyGateSet,
     InvalidParameter,
     NoMatch,
     OverlappingAssignment,
+    ReconstructionError,
     TieWarning,
 )
 from qverify.gates import Gate, GateSet, builtin_gate, standard_gate_set
 from qverify.reconstruction import (
+    _decode_windows,
     _match,
+    check_learn_parameters,
     detect_cnot_by_purity,
     exact_pseudo_joint,
     learn_multi,
@@ -44,7 +48,8 @@ from qverify.reconstruction import (
     prep_gate_names,
     prep_state,
 )
-from qverify.resolution import cached_resolution
+from qverify.resolution import cached_resolution, enumerate_config_classes
+from qverify.tomography import RdmEstimate, pauli_coefficients
 
 from conftest import haar_unitary
 
@@ -204,15 +209,18 @@ class TestLearnSingle:
         assert err.value.nearest
 
     def test_overlapping_assignment_detected(self):
-        c = circuit_of(3, L(("CNOT", (0, 1)), ("I", (2,))))
-        dev = device_for(c)
-        gs = GateSet(singles=(builtin_gate("I"),), doubles=(builtin_gate("CNOT"),))
-        # eps above the distance from the outside-entangled window to the
-        # CNOT Choi state (0.809) makes two windows claim qubit 0
-        with pytest.raises(OverlappingAssignment):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                learn_single(dev, 1, identity_circuit(3), 0, gs, 0.85, 0, mode="exact")
+        # crafted exact windows that disagree: (0, 1) holds the CNOT element,
+        # (0, 2) a C1 element that gives qubit 0 a local gate
+        gs = standard_gate_set()
+        by_key = {p.key: e for e in enumerate_config_classes(gs) for p in e.provenance}
+
+        def window(subset, key):
+            state = by_key[key].state.entries
+            return RdmEstimate(subset, DensityMatrix(4, state), pauli_coefficients(state))
+
+        estimates = [window((0, 1, 3, 4), ("C2", "CNOT")), window((0, 2, 3, 5), ("C1", "H", "I"))]
+        with pytest.raises(OverlappingAssignment, match=r"qubit 0 claimed by windows \(0, 1\)"):
+            _decode_windows(estimates, gs, 3, log_term=1.0)
 
     def test_shot_mode_learns_layer(self):
         c = circuit_of(2, L(("CNOT", (0, 1))))
@@ -242,12 +250,6 @@ class TestLearnSingle:
         with pytest.raises(InvalidParameter):
             learn_single(dev, 1, identity_circuit(2), shots, standard_gate_set(), eps, 4, mode=mode)
         assert dev.ledger.layer_count == 0
-
-    def test_warns_when_eps_at_resolution(self):
-        c = circuit_of(2, L(("H", (0,)), ("H", (1,))))
-        dev = device_for(c)
-        with pytest.warns(UserWarning):
-            learn_single(dev, 1, identity_circuit(2), 0, standard_gate_set(), 0.5, 0, mode="exact")
 
 
 class TestLearnMulti:
@@ -392,6 +394,82 @@ class TestLearnMulti:
         assert doc["circuit"]["n"] == 2
         assert len(doc["per_layer"]) == 2
         assert "total_time_units" in doc["ledger"]
+
+
+def _learn_random(n, shots, p, seed):
+    """Strict learn_multi of random_circuit(n, 3, standard, seed), rng seed ``seed``."""
+    gs = standard_gate_set()
+    c = random_circuit(n, 3, gs, seed)
+    dev = device_for(c, NoiseConfig(depolarizing_p=p))
+    return c, learn_multi(dev, shots, gs, 0.2, seed, mode="strict")
+
+
+class TestCertifiedDecoding:
+    def test_identity_only_set_certifies_at_one_shot(self):
+        # one element in the inventory: every box, however wide, admits only it
+        gs = GateSet(singles=(builtin_gate("I"),))
+        ident = L(("I", (0,)), ("I", (1,)))
+        c = circuit_of(2, ident, ident, ident)
+        report = learn_multi(device_for(c), 1, gs, 10.0, 3, mode="strict")
+        assert same_circuit(report.circuit, c)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_strict_n3_reconstructs_at_5k_shots(self, seed):
+        c, report = _learn_random(3, 5000, 0.0, seed)
+        assert same_circuit(report.circuit, c)
+
+    def test_contraction_keeps_noisy_layers_decodable(self):
+        # p=0.01 at 80k shots: without the contraction lambda the boxes shrink
+        # past the depolarized windows and decline half of these circuits
+        for seed in range(500, 510):
+            c, report = _learn_random(2, 80_000, 0.01, seed)
+            assert same_circuit(report.circuit, c), seed
+
+    def test_noisy_runs_are_never_wrong(self):
+        for seed in range(10):
+            try:
+                c, report = _learn_random(2, 20_000, 0.03, seed)
+            except ReconstructionError:
+                continue
+            assert same_circuit(report.circuit, c), seed
+
+    def test_decline_names_each_window_and_its_box(self):
+        # X on qubit 0 is outside the set: the zero-width boxes admit nothing
+        c = circuit_of(3, L(("X", (0,)), ("H", (1,)), ("I", (2,))))
+        gs = GateSet(
+            singles=tuple(builtin_gate(g) for g in ("I", "H", "Y", "Z")),
+            doubles=(builtin_gate("CNOT"),),
+        )
+        with pytest.raises(NoMatch) as err:
+            learn_multi(device_for(c), 0, gs, 0.2, 1, mode="strict-exact")
+        assert err.value.qubits == (0,)
+        assert str(err.value).startswith(
+            "layer 1: no certified window settles qubit 0: window 0,1 admitted nothing, "
+            "window 0,2 admitted nothing; nearest candidates: "
+        )
+
+    def test_degenerate_gate_set_rejected_before_device_work(self):
+        z = builtin_gate("Z")
+        gs = GateSet(singles=(builtin_gate("I"), z, Gate("phZ", 1, np.exp(0.4j) * z.matrix)))
+        dev = device_for(circuit_of(2, L(("Z", (0,)), ("I", (1,)))))
+        with pytest.raises(DegenerateGateSet):
+            learn_multi(dev, 1000, gs, 0.2, 4, mode="strict")
+        assert dev.ledger.layer_count == 0
+
+    @pytest.mark.parametrize(
+        "mode, delta",
+        [("strict", 0.0), ("strict", 1.0), ("strict-exact", -0.5), ("strict", float("nan"))],
+    )
+    def test_bad_delta_rejected_before_device_work(self, mode, delta):
+        with pytest.raises(InvalidParameter, match="delta"):
+            check_learn_parameters(2, 4000, 0.22, mode, delta)
+        dev = device_for(demo_circuit(1))
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidParameter, match="delta"):
+            learn_multi(dev, 4000, standard_gate_set(), 0.22, rng, mode=mode, delta=delta)
+        assert rng.bit_generator.state == state
+        assert dev.ledger.layer_count == 0
 
 
 class TestHardwareHeuristics:
