@@ -49,7 +49,6 @@ from .reconstruction import (
     ReconstructionReport,
     detect_cnot_by_purity,
     learn_multi,
-    learn_single,
     match_two_qubit,
     minimize_residual,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "ReconstructionReport",
     "detect_cnot_by_purity",
     "learn_multi",
-    "learn_single",
     "match_two_qubit",
     "minimize_residual",
 ]

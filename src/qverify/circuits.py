@@ -34,6 +34,7 @@ from .core import StateVec, apply_unitary_array
 from .errors import (
     ArityMismatch,
     CircuitSyntaxError,
+    EmptyGateSet,
     IndexOutOfRange,
     InvalidPartition,
     NonUnitary,
@@ -405,6 +406,8 @@ def emit_circuit(circuit: LayeredCircuit) -> str:
 
 def random_layer(n: int, gate_set: GateSet, rng) -> Layer:
     """Random strict layer: random matching into pairs, random gates."""
+    if n and not gate_set.singles:  # an unpaired qubit needs a single-qubit gate
+        raise EmptyGateSet("random layers need at least one single-qubit gate")
     rng = np.random.default_rng(rng)
     order = list(rng.permutation(n))
     blocks: list[tuple[int, ...]] = []
@@ -428,7 +431,7 @@ def random_circuit(n: int, d: int, gate_set: GateSet, rng) -> LayeredCircuit:
     return LayeredCircuit(n, tuple(random_layer(n, gate_set, rng) for _ in range(d)))
 
 
-def same_circuit(a: LayeredCircuit, b: LayeredCircuit, atol: float = 1e-9) -> bool:
+def same_circuit(a: LayeredCircuit, b: LayeredCircuit) -> bool:
     """Layerwise equality of the applied operations, phase-blind.
 
     Blocks are compared in ascending qubit order (a directed gate written on a
@@ -441,7 +444,7 @@ def same_circuit(a: LayeredCircuit, b: LayeredCircuit, atol: float = 1e-9) -> bo
         if set(ca) != set(cb):
             return False
         for block, ga in ca.items():
-            if choi_distance(ga, cb[block]) > atol:
+            if choi_distance(ga, cb[block]) > 1e-9:
                 return False
     return True
 

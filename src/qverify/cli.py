@@ -3,8 +3,8 @@
 Commands
 --------
 
-* ``reconstruct`` - build a device from a circuit file, learn every layer,
-  and write ``report.json`` plus a per-layer ``report.csv``.
+* ``reconstruct`` - build a device from a circuit file, learn every layer at
+  failure probability ``--delta``, and write ``report.json`` and ``report.csv``.
 * ``sweep-samples`` - state-tomography accuracy versus sample count for
   window sizes 1-3 and the full-state reference, on a Haar-random state.
 * ``sweep-noise`` - two-qubit accuracy versus learned depth when every layer estimate
@@ -32,20 +32,19 @@ from .circuits import emit_circuit, parse_circuit_file, parse_gate_set, random_c
 from .device import Device, DeviceProfile, NoiseConfig
 from .errors import DegenerateGateSet, InvalidParameter, QVerifyError, ReconstructionError
 from .gates import GateSet, qft_gate_set, standard_gate_set
-from .reconstruction import check_learn_parameters, format_float, learn_multi
+from .reconstruction import format_float, learn_multi
 from .resolution import (
     closest_pair, enumerate_config_classes, gate_set_resolution, raw_class_counts,
 )
 from .rng import stream
 from .sweeps import sweep_noise, sweep_samples
-from .tomography import required_samples
 
 EXIT_OK = 0
 EXIT_RECONSTRUCTION = 1
 EXIT_CONFIG = 2
 
 # reconstruct flags each mode never reads; giving one is a configuration error
-_IGNORED = {"hardware": ("eps", "delta"), "strict-exact": ("delta", "noise_p")}
+_IGNORED = {"hardware": ("delta",), "strict-exact": ("delta", "noise_p")}
 
 
 def _seed(flag: int | None) -> int:
@@ -112,17 +111,8 @@ def cmd_reconstruct(args) -> int:
             raise InvalidParameter(f"--t {args.t!r} is not a number") from None
     noise = NoiseConfig(depolarizing_p=noise_p if args.noise_p is None else args.noise_p)
     device = Device(DeviceProfile(circuit.n, circuit.depth, t, circuit), noise)
-    eps = None if mode == "hardware" else 0.2 if args.eps is None else args.eps
     delta = 0.05 if args.delta is None else args.delta
-    check_learn_parameters(circuit.n, args.shots, eps, mode, delta)  # before any note is printed
-    if mode == "strict":
-        bound = required_samples(4, circuit.n, max(circuit.depth, 1), eps, delta)
-        if args.shots < bound:
-            print(
-                f"note: {args.shots} shots per layer is a desk-scale run; the "
-                f"eps={eps}, delta={delta} guarantee asks for {bound}"
-            )
-    report = learn_multi(device, args.shots, gs, eps, stream(seed), mode=mode, delta=delta)
+    report = learn_multi(device, args.shots, gs, rng=stream(seed), mode=mode, delta=delta)
     out = Path(args.out)
     _write(out / "report.json", report.to_json())
     _write(out / "report.csv", report.to_csv(circuit.groups))
@@ -190,7 +180,6 @@ def main(argv=None) -> int:
     p.add_argument("--circuit", required=True)
     p.add_argument("--gateset", default="standard")
     p.add_argument("--shots", type=int, default=8192)
-    p.add_argument("--eps", type=float, default=None, help="strict modes only (default 0.2)")
     p.add_argument("--delta", type=float, default=None, help="strict mode only (default 0.05)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--mode", choices=["strict", "hardware"], default=None,

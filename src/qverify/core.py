@@ -58,11 +58,11 @@ AXIS_ROTATIONS = {
 AXES = ("X", "Y", "Z")
 
 
-def is_unitary(u: np.ndarray, atol: float = ATOL) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
-    return np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=atol)
+    return np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=ATOL)
 
 
 @dataclass(frozen=True)

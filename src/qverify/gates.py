@@ -125,11 +125,11 @@ def qft_gate_set() -> GateSet:
     )
 
 
-def gates_equivalent(a: Gate, b: Gate, atol: float = 1e-9) -> bool:
+def gates_equivalent(a: Gate, b: Gate) -> bool:
     """Same physical operation: identical Choi states (phase-blind)."""
     if a.arity != b.arity:
         return False
-    return choi_distance(a.matrix, b.matrix) < atol
+    return choi_distance(a.matrix, b.matrix) < 1e-9
 
 
 def choi_distance(a: np.ndarray, b: np.ndarray) -> float:

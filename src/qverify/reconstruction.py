@@ -10,7 +10,8 @@ Hoeffding box from its compatible-shot count, and a window is certified when
 its boxes admit exactly one element, up to one contraction in [0.3, 1] that
 absorbs depolarizing noise. The certified elements settle every qubit once,
 as a local gate or as half of an in-window two-qubit gate; with probability
-at least 1 - delta every box holds the truth, so a returned layer is right.
+at least 1 - delta every box holds the truth, so a returned layer is right;
+at any shot count, too few shots make a layer decline, never come back wrong.
 
 strict-exact runs the same decoder on the infinite-shot oracle's windows with
 zero-width boxes. :func:`match_two_qubit`, the older trace-distance rule
@@ -550,34 +551,6 @@ def _register_row(report: LayerReport, key: str, est: np.ndarray, ideal: np.ndar
     report.distances.setdefault(key, trace_distance_array(est, ideal))
 
 
-def learn_single(
-    device: Device,
-    k: int,
-    inverse_prefix: LayeredCircuit,
-    shots: int,
-    gs: GateSet,
-    eps: float,
-    rng,
-    mode: str = "shots",
-    delta: float = 0.05,
-) -> Layer:
-    """Reconstruct the layer reached at interruption point ``k``.
-
-    ``mode`` "shots" or "exact" is checked like :func:`learn_multi`'s
-    "strict" or "strict-exact" before the device runs, and decoded the same
-    way, with ``delta`` the failure probability of its boxes.
-    """
-    modes = {"shots": "strict", "exact": "strict-exact"}
-    if mode not in modes:
-        raise InvalidParameter(f"unknown estimator mode {mode!r}: use shots or exact")
-    check_learn_parameters(device.n, shots, eps, modes[mode], delta)
-    coefficient_table(gs)  # a degenerate gate set raises before the device runs
-    layer, _ = _learn_single_full(
-        device, k, inverse_prefix, shots, gs, delta, rng, mode == "exact"
-    )
-    return layer
-
-
 # -- hardware-style heuristics ------------------------------------------------------
 
 
@@ -723,35 +696,12 @@ def _fill_register_diagnostics(report, layers, n, raw1) -> None:
 # -- multi-layer learning -------------------------------------------------------------
 
 
-def check_learn_parameters(
-    n: int, shots: int, eps: float | None, mode: str, delta: float = 0.05
-) -> None:
-    """Raise InvalidParameter for a call :func:`learn_multi` would refuse.
-
-    Refused: a mode other than strict, strict-exact or hardware; n < 2 qubits,
-    or n != 2 in hardware mode; ``shots < 1`` where shots are drawn; and, in
-    the strict modes, ``eps <= 0`` or ``delta`` outside (0, 1).
-    """
-    if mode not in ("strict", "strict-exact", "hardware"):
-        raise InvalidParameter(f"unknown mode {mode!r}: use strict, strict-exact or hardware")
-    # strict learning reads pair windows; hardware mode is two-qubit only
-    if n < 2 or (mode == "hardware" and n != 2):
-        need = "exactly" if mode == "hardware" else "at least"
-        raise InvalidParameter(f"{mode} mode needs {need} 2 qubits, got n={n}")
-    if mode in ("strict", "hardware") and shots < 1:
-        raise InvalidParameter(f"shots={shots} must be at least 1 in {mode} mode")
-    if mode in ("strict", "strict-exact") and not eps > 0:
-        raise InvalidParameter(f"eps={eps} must be positive in {mode} mode")
-    if mode in ("strict", "strict-exact") and not 0 < delta < 1:
-        raise InvalidParameter(f"delta={delta} must lie in (0, 1) in {mode} mode")
-
-
 def learn_multi(
     device: Device,
     shots: int,
     gs: GateSet,
-    eps: float,
-    rng,
+    eps: float | None = None,
+    rng=None,
     mode: str = "strict",
     delta: float = 0.05,
 ) -> ReconstructionReport:
@@ -767,14 +717,24 @@ def learn_multi(
     configuration elements: a per-coefficient Hoeffding box, at total failure
     probability ``delta`` over every string, window and layer, must admit
     exactly one element, allowing one contraction in [0.3, 1] for noise.
-    strict-exact uses boxes of zero width. ``eps`` is still checked but no
-    longer read, and hardware mode picks gates by purity and residual and
-    ignores both. Every parameter is checked by :func:`check_learn_parameters`
-    before the device runs, and a degenerate gate set raises DegenerateGateSet
-    before it too.
+    strict-exact uses boxes of zero width. Hardware mode picks gates by purity
+    and residual and ignores ``delta``; no mode reads ``eps``. Before the
+    device runs, InvalidParameter refuses an unknown mode, n < 2 qubits (n != 2
+    in hardware mode), ``shots < 1`` where shots are drawn and ``delta``
+    outside (0, 1) in the strict modes; a degenerate gate set raises
+    DegenerateGateSet.
     """
-    check_learn_parameters(device.n, shots, eps, mode, delta)
-    if mode in ("strict", "strict-exact"):
+    if mode not in ("strict", "strict-exact", "hardware"):
+        raise InvalidParameter(f"unknown mode {mode!r}: use strict, strict-exact or hardware")
+    # strict learning reads pair windows; hardware mode is two-qubit only
+    if device.n < 2 or (mode == "hardware" and device.n != 2):
+        need = "exactly" if mode == "hardware" else "at least"
+        raise InvalidParameter(f"{mode} mode needs {need} 2 qubits, got n={device.n}")
+    if mode in ("strict", "hardware") and shots < 1:
+        raise InvalidParameter(f"shots={shots} must be at least 1 in {mode} mode")
+    if mode != "hardware":
+        if not 0 < delta < 1:
+            raise InvalidParameter(f"delta={delta} must lie in (0, 1) in {mode} mode")
         coefficient_table(gs)  # a degenerate gate set raises before the device runs
 
     learned: list[Layer] = []

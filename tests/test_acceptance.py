@@ -28,7 +28,6 @@ from qverify.reconstruction import (
     _shot_record_set,
     exact_pseudo_joint,
     learn_multi,
-    learn_single,
 )
 from qverify.resolution import cached_resolution
 from qverify.rng import stream
@@ -86,9 +85,7 @@ def test_criterion_2_soundness_at_resolution():
     for layer in layers:
         circuit = LayeredCircuit(2, (layer,))
         device = Device(DeviceProfile(2, 1, Fraction(1), circuit))
-        learned = learn_single(
-            device, 1, identity_circuit(2), 0, gs, eps, 0, mode="exact"
-        )
+        learned = learn_multi(device, 0, gs, eps, 0, mode="strict-exact").circuit.layers[0]
         if learned != layer:
             failures.append(tuple(g.name for g in layer.gates))
     announce(

@@ -20,6 +20,7 @@ from qverify.circuits import (
 from qverify.errors import (
     ArityMismatch,
     CircuitSyntaxError,
+    EmptyGateSet,
     InvalidPartition,
     NonUnitary,
     UnknownGateName,
@@ -381,3 +382,12 @@ class TestRandomCircuit:
             c = random_circuit(4, 3, gs, rng)
             for layer in c.layers:
                 layer.validate_for(4)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_single_qubit_gate_refused_before_any_draw(self, n):
+        gs = GateSet(singles=(), doubles=(builtin_gate("CNOT"),))
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(EmptyGateSet, match="single-qubit gate"):
+            random_circuit(n, 1, gs, rng)
+        assert rng.bit_generator.state == state

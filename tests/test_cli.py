@@ -40,7 +40,7 @@ class TestReconstructCommand:
         out = tmp_path / "out"
         rc = run([
             "reconstruct", "--circuit", str(demo_file), "--mode", "strict",
-            "--exact", "--eps", "0.22", "--seed", "3", "--out", str(out),
+            "--exact", "--seed", "3", "--out", str(out),
         ])
         assert rc == 0
         rec = parse_circuit((out / "reconstructed_circuit.json").read_text())
@@ -52,7 +52,7 @@ class TestReconstructCommand:
         out = tmp_path / "out"
         rc = run([
             "reconstruct", "--circuit", str(path), "--mode", "strict", "--exact",
-            "--eps", "0.22", "--seed", "7", "--out", str(out),
+            "--seed", "7", "--out", str(out),
         ])
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
@@ -70,7 +70,7 @@ class TestReconstructCommand:
         out = tmp_path / "out"
         rc = run([
             "reconstruct", "--circuit", str(path), "--gateset", "qft",
-            "--mode", "strict", "--exact", "--eps", "0.17", "--seed", "7",
+            "--mode", "strict", "--exact", "--seed", "7",
             "--out", str(out),
         ])
         assert rc == 0
@@ -134,25 +134,25 @@ class TestReconstructCommand:
         assert captured.out == ""
         assert "strict mode needs at least 2 qubits" in captured.err
 
-    def test_strict_desk_scale_note_printed(self, tmp_path, demo_file, capsys):
-        rc = run(["reconstruct", "--circuit", str(demo_file), "--mode", "strict",
-                  "--shots", "100", "--out", str(tmp_path / "out")])
-        assert rc in (0, 1)  # 100 shots may well not reconstruct
-        assert capsys.readouterr().out.startswith("note: 100 shots per layer is a desk-scale run")
+    @pytest.mark.parametrize("mode", [["--mode", "strict"], ["--exact"]], ids=["shots", "exact"])
+    def test_strict_run_prints_one_line(self, tmp_path, demo_file, capsys, mode):
+        rc = run(["reconstruct", "--circuit", str(demo_file), "--shots", "5000", "--seed", "1",
+                  "--out", str(tmp_path / "out")] + mode)
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("reconstructed 2 layers; ledger ")
 
     @pytest.mark.parametrize(
         "flags",
         [
             ["--shots", "0"],
             ["--mode", "strict", "--shots", "-3"],
-            ["--mode", "strict", "--eps", "0"],
             ["--mode", "strict", "--delta", "2"],
-            ["--exact", "--eps", "0"],
             ["--t", "0"],
             ["--mode", "hardware", "--exact"],
         ],
-        ids=["hardware-shots-0", "strict-shots-neg", "strict-eps-0", "strict-delta-2",
-             "exact-eps-0", "t-0", "hardware-exact"],
+        ids=["hardware-shots-0", "strict-shots-neg", "strict-delta-2", "t-0", "hardware-exact"],
     )
     def test_bad_parameters_are_config_errors(self, tmp_path, demo_file, capsys, flags):
         out = tmp_path / "out"
@@ -166,15 +166,11 @@ class TestReconstructCommand:
     @pytest.mark.parametrize(
         "flags, ignored",
         [
-            (["--eps", "0.2"], "--eps"),
             (["--delta", "0.05"], "--delta"),
-            (["--mode", "hardware", "--eps", "-1", "--delta", "5"], "--eps --delta"),
             (["--mode", "strict", "--exact", "--delta", "0.05"], "--delta"),
-            (["--exact", "--eps", "0.22", "--delta", "0.1"], "--delta"),
             (["--exact", "--noise-p", "0.5"], "--noise-p"),
         ],
-        ids=["hardware-eps", "hardware-delta", "hardware-both", "exact-delta",
-             "exact-eps-and-delta", "exact-noise-p"],
+        ids=["hardware-delta", "exact-delta", "exact-noise-p"],
     )
     def test_flags_the_mode_ignores_are_config_errors(
         self, tmp_path, demo_file, capsys, flags, ignored
@@ -205,15 +201,14 @@ class TestReconstructCommand:
             assert err.rstrip().endswith("sets noise.depolarizing_p=0.5")
         assert out.exists() == (rc == 0)
 
-    def test_strict_defaults_fill_eps_and_delta(self, tmp_path, demo_file, capsys):
+    def test_strict_default_delta_is_0_05(self, tmp_path, demo_file):
         default, explicit = tmp_path / "default", tmp_path / "explicit"
         base = ["reconstruct", "--circuit", str(demo_file), "--mode", "strict",
-                "--shots", "2000", "--seed", "4"]
-        assert run(base + ["--out", str(default)]) in (0, 1)
-        note = capsys.readouterr().out
-        assert "eps=0.2, delta=0.05 guarantee" in note
-        assert run(base + ["--eps", "0.2", "--delta", "0.05", "--out", str(explicit)]) in (0, 1)
-        assert capsys.readouterr().out == note
+                "--shots", "5000", "--seed", "4"]
+        assert run(base + ["--out", str(default)]) == 0
+        assert run(base + ["--delta", "0.05", "--out", str(explicit)]) == 0
+        report = "report.json"
+        assert (default / report).read_bytes() == (explicit / report).read_bytes()
 
     def test_delta_reaches_the_decoder(self, tmp_path, demo_file, capsys):
         base = ["reconstruct", "--circuit", str(demo_file), "--mode", "strict",
@@ -228,7 +223,7 @@ class TestReconstructCommand:
         out = tmp_path / "out"
         rc = run([
             "reconstruct", "--circuit", str(demo_file), "--mode", "strict", "--exact",
-            "--shots", "0", "--eps", "0.22", "--seed", "3", "--out", str(out),
+            "--shots", "0", "--seed", "3", "--out", str(out),
         ])
         assert rc == 0
         assert same_circuit(
@@ -243,6 +238,19 @@ class TestReconstructCommand:
             ])
         assert exit_.value.code == 2
 
+    @pytest.mark.parametrize(
+        "mode", [["--mode", "strict"], ["--exact"], ["--mode", "hardware"]],
+        ids=["strict", "exact", "hardware"],
+    )
+    def test_eps_flag_is_gone(self, tmp_path, demo_file, capsys, mode):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            run(["reconstruct", "--circuit", str(demo_file), "--eps", "0.2", "--out", str(out)]
+                + mode)
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --eps 0.2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unlearnable_circuit_is_reconstruction_error(self, tmp_path, capsys):
         # hidden S gate is outside the standard matching set
         doc = {"n": 2, "layers": [[{"gate": "S", "qubits": [0]}, {"gate": "I", "qubits": [1]}]]}
@@ -250,7 +258,7 @@ class TestReconstructCommand:
         path.write_text(json.dumps(doc), encoding="utf-8")
         rc = run([
             "reconstruct", "--circuit", str(path), "--mode", "strict", "--exact",
-            "--eps", "0.22", "--out", str(tmp_path / "out"),
+            "--out", str(tmp_path / "out"),
         ])
         assert rc == 1
         assert "reconstruction failed" in capsys.readouterr().err
@@ -288,6 +296,8 @@ BAD_INPUT = {
     "generate-env-seed": (_GENERATE, "abc"),
     "reconstruct-gate-set-list": (_RECONSTRUCT + _GATE_SET_LIST, None),
     "generate-gate-set-list": (_GENERATE + _GATE_SET_LIST, None),
+    "generate-no-single-qubit-gate": (_GENERATE + ["--gateset", "{tmp}/doubles.json",
+                                                   "--seed", "1"], None),
     "resolution-gate-set-list": (["resolution"] + _GATE_SET_LIST, None),
     "circuit-layers-int": (["reconstruct", "--circuit", "{tmp}/layers.json"], None),
     "circuit-noise-int": (["reconstruct", "--circuit", "{tmp}/noise.json"], None),
@@ -302,6 +312,7 @@ def test_bad_input_is_config_error(tmp_path, monkeypatch, capsys, case):
     files = {
         "demo.json": doc,
         "gs.json": [],
+        "doubles.json": {"singles": [], "doubles": [{"name": "CNOT"}]},
         "layers.json": {**doc, "layers": 5},
         "noise.json": {**doc, "noise": 3},
         "file": "",

@@ -38,11 +38,9 @@ from qverify.gates import Gate, GateSet, builtin_gate, standard_gate_set
 from qverify.reconstruction import (
     _decode_windows,
     _match,
-    check_learn_parameters,
     detect_cnot_by_purity,
     exact_pseudo_joint,
     learn_multi,
-    learn_single,
     match_two_qubit,
     minimize_residual,
     prep_gate_names,
@@ -187,14 +185,14 @@ class TestLearnSingle:
     def test_learns_product_layer_exactly(self):
         c = circuit_of(2, L(("H", (0,)), ("H", (1,))))
         dev = device_for(c)
-        layer = learn_single(dev, 1, identity_circuit(2), 0, standard_gate_set(), 0.22, 0, mode="exact")
-        assert layer == c.layers[0]
+        report = learn_multi(dev, 0, standard_gate_set(), 0.22, 0, mode="strict-exact")
+        assert report.circuit.layers[0] == c.layers[0]
 
     def test_learns_cnot_layer_exactly(self):
         c = circuit_of(2, L(("CNOT", (0, 1))))
         dev = device_for(c)
-        layer = learn_single(dev, 1, identity_circuit(2), 0, standard_gate_set(), 0.22, 0, mode="exact")
-        assert layer == c.layers[0]
+        report = learn_multi(dev, 0, standard_gate_set(), 0.22, 0, mode="strict-exact")
+        assert report.circuit.layers[0] == c.layers[0]
 
     def test_missing_gate_reports_nearest(self):
         c = circuit_of(2, L(("X", (0,)), ("H", (1,))))
@@ -204,7 +202,7 @@ class TestLearnSingle:
             doubles=(builtin_gate("CNOT"),),
         )
         with pytest.raises(NoMatch) as err:
-            learn_single(dev, 1, identity_circuit(2), 0, gs, 0.2, 0, mode="exact")
+            learn_multi(dev, 0, gs, 0.2, 0, mode="strict-exact")
         assert err.value.qubits == (0,)
         assert err.value.nearest
 
@@ -225,30 +223,18 @@ class TestLearnSingle:
     def test_shot_mode_learns_layer(self):
         c = circuit_of(2, L(("CNOT", (0, 1))))
         dev = device_for(c)
-        layer = learn_single(
-            dev, 1, identity_circuit(2), 60_000, standard_gate_set(), 0.22,
-            np.random.default_rng(17),
-        )
-        assert layer == c.layers[0]
+        report = learn_multi(dev, 60_000, standard_gate_set(), 0.22, np.random.default_rng(17))
+        assert report.circuit.layers[0] == c.layers[0]
 
     def test_unknown_mode_rejected_before_device_work(self):
+        # "shots" and "exact" name estimators, not learn_multi modes
         dev = device_for(circuit_of(2, L(("H", (0,)), ("H", (1,)))))
         rng = np.random.default_rng(4)
         state = rng.bit_generator.state
-        with pytest.raises(InvalidParameter):
-            learn_single(dev, 1, identity_circuit(2), 100, standard_gate_set(), 0.22, rng, mode="exakt")
+        for mode in ("shots", "exact"):
+            with pytest.raises(InvalidParameter, match=f"unknown mode {mode!r}"):
+                learn_multi(dev, 100, standard_gate_set(), 0.22, rng, mode=mode)
         assert rng.bit_generator.state == state
-        assert dev.ledger.layer_count == 0
-
-    @pytest.mark.parametrize(
-        "shots, eps, mode",
-        [(100, 0.0, "shots"), (0, 0.22, "shots"), (0, -0.1, "exact")],
-        ids=["eps-0", "shots-0", "exact-eps-negative"],
-    )
-    def test_parameters_checked_like_learn_multi(self, shots, eps, mode):
-        dev = device_for(circuit_of(2, L(("H", (0,)), ("H", (1,)))))
-        with pytest.raises(InvalidParameter):
-            learn_single(dev, 1, identity_circuit(2), shots, standard_gate_set(), eps, 4, mode=mode)
         assert dev.ledger.layer_count == 0
 
 
@@ -322,8 +308,6 @@ class TestLearnMulti:
             ("strict", 0, 0.22),
             ("strict", -3, 0.22),
             ("hardware", 0, 0.22),
-            ("strict", 4000, 0.0),
-            ("strict-exact", 0, -0.1),
         ],
     )
     def test_bad_shots_or_eps_rejected_before_device_work(self, mode, shots, eps):
@@ -348,10 +332,6 @@ class TestLearnMulti:
             learn_multi(dev, 1000, standard_gate_set(), 0.22, rng, mode=mode)
         assert rng.bit_generator.state == state
         assert dev.ledger.layer_count == 0
-        if mode != "hardware":
-            with pytest.raises(InvalidParameter, match=f"got n={n}"):
-                learn_single(dev, 1, identity_circuit(n), 1000, standard_gate_set(), 0.22, rng)
-            assert dev.ledger.layer_count == 0
 
     @staticmethod
     def _exact_run_peak(n: int, seed: int):
@@ -394,6 +374,19 @@ class TestLearnMulti:
         assert doc["circuit"]["n"] == 2
         assert len(doc["per_layer"]) == 2
         assert "total_time_units" in doc["ledger"]
+
+    @pytest.mark.parametrize("mode", ["strict", "strict-exact", "hardware"])
+    def test_eps_is_never_read(self, mode):
+        c, gs = demo_circuit(1), standard_gate_set()
+        given = learn_multi(device_for(c), 5000, gs, 0.2, 4, mode=mode)
+        omitted = learn_multi(device_for(c), 5000, gs, rng=4, mode=mode)
+        assert same_circuit(omitted.circuit, c)
+        assert given.to_json() == omitted.to_json()
+
+    def test_default_rng_is_seed_zero(self):
+        c, gs = demo_circuit(1), standard_gate_set()
+        default = learn_multi(device_for(c), 5000, gs)
+        assert default.to_json() == learn_multi(device_for(c), 5000, gs, rng=0).to_json()
 
 
 def _learn_random(n, shots, p, seed):
@@ -461,8 +454,6 @@ class TestCertifiedDecoding:
         [("strict", 0.0), ("strict", 1.0), ("strict-exact", -0.5), ("strict", float("nan"))],
     )
     def test_bad_delta_rejected_before_device_work(self, mode, delta):
-        with pytest.raises(InvalidParameter, match="delta"):
-            check_learn_parameters(2, 4000, 0.22, mode, delta)
         dev = device_for(demo_circuit(1))
         rng = np.random.default_rng(4)
         state = rng.bit_generator.state
