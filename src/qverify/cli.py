@@ -34,7 +34,7 @@ from .errors import DegenerateGateSet, InvalidParameter, QVerifyError, Reconstru
 from .gates import GateSet, qft_gate_set, standard_gate_set
 from .reconstruction import format_float, learn_multi
 from .resolution import (
-    closest_pair, enumerate_config_classes, gate_set_resolution, raw_class_counts,
+    closest_pair, coefficient_table, enumerate_config_classes, raw_class_counts,
 )
 from .rng import stream
 from .sweeps import sweep_noise, sweep_samples
@@ -146,15 +146,15 @@ def cmd_resolution(args) -> int:
         distinct = sum(e.class_id == c for e in elements)
         print(f"  {c}: {raw[c]} / {distinct}")
     try:
-        resolution = gate_set_resolution(gs, elements)
+        coefficient_table(gs)  # refuses a degenerate set, as the strict decoder does
     except DegenerateGateSet as exc:
         print(f"degenerate gate set: {exc}")
         return EXIT_RECONSTRUCTION
-    if resolution == float("inf"):
+    if len(elements) < 2:
         print("resolution: Infinite (single configuration)")
         return EXIT_OK
     a, b, dist = closest_pair(elements)
-    print(f"resolution: {format_float(resolution)}")
+    print(f"resolution: {format_float(0.5 * dist)}")
     print(
         f"closest pair at distance {format_float(dist)}: "
         f"[{a.provenance[0].detail}] vs [{b.provenance[0].detail}]"

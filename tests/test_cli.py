@@ -6,6 +6,7 @@ import pytest
 from qverify.benchmarks import demo_circuit, qft2_circuit
 from qverify.circuits import emit_circuit, parse_circuit, random_circuit, same_circuit
 import qverify.cli
+import qverify.resolution
 from qverify.cli import main
 from qverify.gates import standard_gate_set
 
@@ -423,6 +424,30 @@ class TestResolutionCommand:
         assert "C2: 2 / 2" in out
         assert "resolution: 0.25" in out
         assert "closest pair" in out
+
+    def test_qft_set_prints_one_closest_pair(self, monkeypatch, capsys):
+        calls = []
+        real = qverify.resolution.closest_pair
+
+        def counted(elements):
+            calls.append(len(elements))
+            return real(elements)
+
+        monkeypatch.setattr(qverify.resolution, "closest_pair", counted)
+        monkeypatch.setattr(qverify.cli, "closest_pair", counted)
+        assert run(["resolution", "--gateset", "qft"]) == 0
+        assert calls == [51]
+        assert capsys.readouterr().out == (
+            "class inventory (raw / distinct):\n"
+            "  C1: 25 / 25\n"
+            "  C2: 2 / 2\n"
+            "  C3: 20 / 10\n"
+            "  C4: 20 / 10\n"
+            "  C5: 16 / 4\n"
+            "resolution: 0.191341716183\n"
+            "closest pair at distance 0.382683432365: "
+            "[H on w1, Rz(pi/2) on w2] vs [H on w1, T on w2]\n"
+        )
 
     def test_degenerate_set_reported(self, tmp_path, capsys):
         doc = {

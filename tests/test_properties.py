@@ -8,8 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from qverify.circuits import choi_state, emit_circuit, parse_circuit, random_circuit
 from qverify.core import (
-    DensityMatrix, partial_trace_array, pure_marginal_array, purity, trace_distance_array,
+    ATOL,
+    DensityMatrix,
+    _allclose,
+    is_unitary,
+    partial_trace_array,
+    pure_marginal_array,
+    purity,
+    trace_distance_array,
 )
+from qverify.errors import DimensionMismatch, NotNormalized
 from qverify.gates import standard_gate_set
 from qverify.tomography import (
     RecordSet,
@@ -74,6 +82,67 @@ def test_projection_is_idempotent_and_physical(seed):
     twice = project_to_physical(once)
     assert once.is_physical
     assert trace_distance_array(once.entries, twice.entries) < 1e-10
+
+
+SPECIALS = (np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.inf, -np.inf), complex(1, np.nan))
+
+
+def _density_verdict(m: np.ndarray):
+    """What DensityMatrix(n, m) raised or returned with a plain np.allclose Hermitian check."""
+    if not np.allclose(m, m.conj().T, atol=ATOL):
+        return DimensionMismatch, "matrix is not Hermitian within 1e-9"
+    if abs(np.trace(m).real - 1.0) > 1e-9:
+        return NotNormalized, f"trace {np.trace(m)!r} is not 1"
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=seeds,
+    n=st.integers(1, 3),
+    scale=st.sampled_from((0.0, 1e-13, 1e-10, 5e-10, 1e-9, 3e-9, 1e-7, 1e-5, 1e-3)),
+    specials=st.integers(0, 2),
+    where=st.sampled_from(("a", "b", "both")),
+)
+def test_allclose_gives_numpy_verdict(seed, n, scale, specials, where):
+    """Hermitian, near-Hermitian and NaN/inf input: np.allclose's verdict, exception and message."""
+    rng = np.random.default_rng(seed)
+    dim = 1 << n
+    rho = random_density(n, rng)
+    m = rho + scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    for _ in range(specials):
+        m[tuple(rng.integers(0, dim, size=2))] = SPECIALS[rng.integers(len(SPECIALS))]
+    assert _allclose(m, m.conj().T) == np.allclose(m, m.conj().T, atol=ATOL)
+
+    a, b = rho.copy(), m.copy()
+    if where != "b":
+        a, b = b, a
+    if where == "both":
+        b[0, 0] = a[0, 0]
+    assert _allclose(a, b) == np.allclose(a, b, atol=ATOL)
+
+    want = _density_verdict(m)
+    if want is None:
+        assert np.array_equal(DensityMatrix(n, m).entries, m)
+    else:
+        with pytest.raises(want[0]) as err:
+            DensityMatrix(n, m)
+        assert type(err.value) is want[0] and str(err.value) == want[1]
+    u = np.linalg.qr(m if np.isfinite(m).all() else rho)[0] + scale
+    assert is_unitary(u) == np.allclose(u.conj().T @ u, np.eye(dim), atol=ATOL)
+
+
+@pytest.mark.parametrize("special", SPECIALS)
+@pytest.mark.parametrize("at", [(1, 1), (0, 1)])
+def test_allclose_on_one_non_finite_entry(special, at):
+    """On or off the diagonal: a real inf equals its conjugate, an imaginary one does not."""
+    m = np.eye(2, dtype=complex) / 2
+    m[at] = special
+    assert _allclose(m, m.conj().T) == np.allclose(m, m.conj().T, atol=ATOL)
+    want = _density_verdict(m)
+    with pytest.raises(want[0]) as err:
+        DensityMatrix(1, m)
+    assert str(err.value) == want[1]
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,19 +1,31 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from qverify.core import trace_distance_array
-from qverify.errors import DegenerateGateSet
+from qverify import resolution
+from qverify.circuits import random_circuit
+from qverify.core import DensityMatrix, trace_distance_array
+from qverify.device import Device, DeviceProfile
+from qverify.errors import DegenerateGateSet, EmptyGateSet
 from qverify.gates import Gate, GateSet, builtin_gate, qft_gate_set, standard_gate_set
+from qverify.reconstruction import learn_multi
 from qverify.resolution import (
+    ConfigElement,
+    _raw_elements,
+    cached_resolution,
     closest_pair,
+    coefficient_table,
     enumerate_config_classes,
     gate_set_resolution,
     raw_class_counts,
 )
+
+from conftest import brute_closest_pair, brute_merge, brute_raw_elements, random_density
 
 # frozen from a first enumeration run; guards against construction regressions
 STANDARD_SET_RESOLUTION = 0.25
@@ -158,3 +170,132 @@ class TestResolution:
         a, b, d = closest_pair(elems)
         assert abs(d - 2 * STANDARD_SET_RESOLUTION) < 1e-9
         assert a.provenance and b.provenance
+
+
+SINGLE_NAMES = ("I", "H", "X", "Y", "Z", "S", "T", "Rz(pi/4)", "Rz(pi/2)")
+DOUBLES = (builtin_gate("CNOT"), builtin_gate("CNOT").reversed())
+
+# random subsets of the builtin gates, in random order
+gate_sets = (
+    st.tuples(
+        st.lists(st.sampled_from(SINGLE_NAMES), unique=True, max_size=5),
+        st.lists(st.sampled_from((0, 1)), unique=True),
+    )
+    .filter(lambda picks: picks[0] or picks[1])
+    .map(lambda picks: GateSet(
+        tuple(builtin_gate(n) for n in picks[0]), tuple(DOUBLES[i] for i in picks[1])
+    ))
+)
+
+
+def _summary(elements):
+    return [(e.class_id, list(e.provenance)) for e in elements]
+
+
+def _resolution_or_error(fn, gs):
+    try:
+        return fn(gs)
+    except DegenerateGateSet:
+        return "degenerate"
+
+
+class TestInventoryAgainstOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(gs=gate_sets)
+    @example(gs=standard_gate_set())
+    @example(gs=qft_gate_set())
+    def test_matches_per_element_build_merge_and_search(self, gs):
+        raw = brute_raw_elements(gs)
+        provenance, states = _raw_elements(gs)
+        assert provenance == [p for p, _ in raw]
+        assert max(np.abs(got - want.entries).max() for got, (_, want) in zip(states, raw)) < 1e-12
+
+        want = brute_merge(raw)
+        got = enumerate_config_classes(gs)
+        assert _summary(got) == _summary(want)
+        for g, w in zip(got, want):
+            assert np.abs(g.state.entries - w.state.entries).max() < 1e-12
+
+        if len(got) > 1:
+            a, b, d = closest_pair(got)
+            i, j, d_want = brute_closest_pair(got)
+            assert a is got[i] and b is got[j]
+            assert d == d_want
+            i, j, d_want = brute_closest_pair(want)
+            assert (a.provenance, b.provenance) == (want[i].provenance, want[j].provenance)
+            assert abs(d - d_want) < 1e-12
+
+        if any(len(e.keys) > 1 for e in want):
+            expected = "degenerate"
+        elif len(want) < 2:
+            expected = math.inf
+        else:
+            expected = pytest.approx(0.5 * brute_closest_pair(want)[2], abs=1e-12, rel=0)
+        for fn in (gate_set_resolution, cached_resolution):
+            assert _resolution_or_error(fn, gs) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 12), copies=st.integers(0, 3))
+    def test_closest_pair_on_random_states(self, seed, size, copies):
+        """Mixed states of random rank, some repeated so that exact ties at 0 occur."""
+        rng = np.random.default_rng(seed)
+        states = [random_density(2, rng, rank=int(rng.integers(1, 5))) for _ in range(size)]
+        states += [states[int(rng.integers(size))] for _ in range(copies)]
+        elements = [ConfigElement("C1", [], DensityMatrix(2, s)) for s in rng.permutation(states)]
+        a, b, d = closest_pair(elements)
+        i, j, d_want = brute_closest_pair(elements)
+        assert a is elements[i] and b is elements[j] and d == d_want
+
+    def test_empty_gate_set_refused(self):
+        gs = object.__new__(GateSet)
+        object.__setattr__(gs, "singles", ())
+        object.__setattr__(gs, "doubles", ())
+        with pytest.raises(EmptyGateSet, match="cannot enumerate an empty gate set"):
+            enumerate_config_classes(gs)
+
+    def test_closest_pair_needs_two_elements(self):
+        elements = enumerate_config_classes(GateSet(singles=(builtin_gate("H"),)))
+        for short in ([], elements):
+            with pytest.raises(EmptyGateSet, match="need at least two elements"):
+                closest_pair(short)
+
+    def test_single_element_and_degenerate_outcomes(self):
+        one = GateSet(singles=(builtin_gate("H"),))
+        assert cached_resolution(one) == math.inf
+        assert len(coefficient_table(one).elements) == 1
+        dup = GateSet(singles=(builtin_gate("I"), Gate("I2", 1, np.eye(2))))
+        for fn in (gate_set_resolution, cached_resolution, coefficient_table):
+            with pytest.raises(DegenerateGateSet, match="indistinguishable configurations: I on w1"):
+                fn(dup)
+
+
+class TestInventoryCache:
+    def test_raw_elements_built_once_per_gate_set(self, monkeypatch):
+        calls = []
+
+        def counted(gs):
+            calls.append(gs)
+            return _raw_elements(gs)
+
+        monkeypatch.setattr(resolution, "_raw_elements", counted)
+        for cache in (resolution._inventory, coefficient_table, cached_resolution):
+            cache.cache_clear()
+        gs = standard_gate_set()
+        circuit = random_circuit(2, 2, gs, 3)
+        device = Device(DeviceProfile(2, 2, Fraction(1), circuit))
+        assert abs(cached_resolution(gs) - 0.25) < 1e-9
+        assert len(coefficient_table(gs).elements) == 51
+        learn_multi(device, 0, gs, rng=0, mode="strict-exact")
+        assert len(calls) == 1
+
+    def test_mutating_a_returned_list_leaves_the_inventory(self):
+        gs = qft_gate_set()
+        before = _summary(enumerate_config_classes(gs))
+        elements = enumerate_config_classes(gs)
+        elements[0].provenance.append(elements[1].provenance[0])
+        elements[1].provenance.clear()
+        elements.reverse()
+        elements.pop()
+        coefficient_table.cache_clear()
+        assert _summary(coefficient_table(gs).elements) == before
+        assert _summary(enumerate_config_classes(gs)) == before
