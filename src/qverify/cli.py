@@ -32,7 +32,7 @@ from .circuits import emit_circuit, parse_circuit_file, parse_gate_set, random_c
 from .device import Device, DeviceProfile, NoiseConfig
 from .errors import DegenerateGateSet, InvalidParameter, QVerifyError, ReconstructionError
 from .gates import GateSet, qft_gate_set, standard_gate_set
-from .reconstruction import format_float, learn_multi
+from .reconstruction import MODES, format_float, learn_multi
 from .resolution import (
     closest_pair, coefficient_table, enumerate_config_classes, raw_class_counts,
 )
@@ -91,17 +91,14 @@ def cmd_reconstruct(args) -> int:
     seed = _seed(args.seed)
     circuit, t, noise_p = parse_circuit_file(_read(args.circuit))
     gs = _gate_set(args.gateset)
-    if args.exact and args.mode == "hardware":
-        raise InvalidParameter("--exact runs the strict-exact estimator, not hardware mode")
-    mode = "strict-exact" if args.exact else args.mode or "hardware"
+    mode = args.mode
     given = [f"--{name.replace('_', '-')}" for name in _IGNORED.get(mode, ())
              if getattr(args, name) is not None]
     if given:
-        where = "hardware mode" if mode == "hardware" else "--exact"
-        raise InvalidParameter(f"no effect with {where}: {' '.join(given)}")
+        raise InvalidParameter(f"no effect with --mode {mode}: {' '.join(given)}")
     if mode == "strict-exact" and noise_p:  # the exact oracle is noiseless
         raise InvalidParameter(
-            f"no effect with --exact: {args.circuit} sets noise.depolarizing_p={noise_p}"
+            f"no effect with --mode {mode}: {args.circuit} sets noise.depolarizing_p={noise_p}"
         )
     # circuit files may embed device parameters; flags take precedence
     if args.t is not None:
@@ -182,9 +179,8 @@ def main(argv=None) -> int:
     p.add_argument("--shots", type=int, default=8192)
     p.add_argument("--delta", type=float, default=None, help="strict mode only (default 0.05)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--mode", choices=["strict", "hardware"], default=None,
-                   help="default hardware; --exact implies strict")
-    p.add_argument("--exact", action="store_true", help="infinite-shot oracle estimator")
+    p.add_argument("--mode", choices=MODES, default="hardware",
+                   help="strict-exact decodes the infinite-shot oracle (default hardware)")
     p.add_argument("--noise-p", type=float, default=None)
     p.add_argument("--t", default=None)
     p.add_argument("--out", required=True)

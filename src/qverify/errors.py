@@ -72,11 +72,9 @@ class InvalidParameter(QVerifyError):
 # -- reconstruction -----------------------------------------------------------
 
 class ReconstructionError(QVerifyError):
-    """Base for failures while assembling a layer; may carry a layer index."""
+    """Base for failures while assembling a layer; ``learn_multi`` sets ``layer``."""
 
-    def __init__(self, message, layer=None):
-        self.layer = layer
-        super().__init__(message if layer is None else f"layer {layer}: {message}")
+    layer: int | None = None
 
 
 class AmbiguousMatch(ReconstructionError):
@@ -90,14 +88,14 @@ class OverlappingAssignment(ReconstructionError):
 class NoMatch(ReconstructionError):
     """No gate in the set matches; carries the nearest candidates for diagnosis."""
 
-    def __init__(self, message, qubits=None, nearest=None, layer=None):
+    def __init__(self, message, qubits=None, nearest=None):
         self.qubits = qubits
         self.nearest = nearest or []
         detail = message
         if self.nearest:
             listing = ", ".join(f"{name}: {dist:.4f}" for name, dist in self.nearest)
             detail = f"{message}; nearest candidates: {listing}"
-        super().__init__(detail, layer=layer)
+        super().__init__(detail)
 
 
 class TieWarning(UserWarning):

@@ -73,6 +73,9 @@ from .tomography import (
 # the continuous-gate noise sweep).
 PURITY_THRESHOLD = 0.75
 
+# learn_multi's modes, in the order its refusal names them
+MODES = ("strict", "strict-exact", "hardware")
+
 
 # -- pseudo-measurement preparation ------------------------------------------------
 
@@ -724,7 +727,7 @@ def learn_multi(
     outside (0, 1) in the strict modes; a degenerate gate set raises
     DegenerateGateSet.
     """
-    if mode not in ("strict", "strict-exact", "hardware"):
+    if mode not in MODES:
         raise InvalidParameter(f"unknown mode {mode!r}: use strict, strict-exact or hardware")
     # strict learning reads pair windows; hardware mode is two-qubit only
     if device.n < 2 or (mode == "hardware" and device.n != 2):

@@ -21,7 +21,7 @@ The merged inventory is built once per gate set per process and shared:
 :func:`enumerate_config_classes` hands out copies of it,
 :func:`coefficient_table` lists each element's nonzero Pauli coefficients (the
 form the strict-mode window decoder tests against), and
-:func:`cached_resolution` reads the table's elements. The resolution is half
+:func:`gate_set_resolution` reads the table's elements. The resolution is half
 the minimum trace distance between distinct elements, which
 :func:`closest_pair` finds exactly with a pruned search: half the Frobenius
 norm of a difference is a lower bound on its trace distance.
@@ -200,21 +200,6 @@ def _check_distinct(elements: list[ConfigElement]) -> None:
         raise DegenerateGateSet(f"indistinguishable configurations: {details}")
 
 
-def gate_set_resolution(gs: GateSet, elements: list[ConfigElement] | None = None) -> float:
-    """Half the minimum pairwise trace distance between distinct elements.
-
-    Returns ``inf`` for a single-element class inventory. Raises
-    :class:`DegenerateGateSet` when two materially different configurations
-    produce the same state (resolution would be zero).
-    """
-    if elements is None:
-        elements = enumerate_config_classes(gs)
-    _check_distinct(elements)
-    if len(elements) < 2:
-        return math.inf
-    return 0.5 * closest_pair(elements)[2]
-
-
 @dataclass(frozen=True)
 class CoefficientTable:
     """Each element's nonzero non-identity Pauli coefficients, for the window decoder.
@@ -248,14 +233,27 @@ def coefficient_table(gs: GateSet) -> CoefficientTable:
     return CoefficientTable(elements, support.astype(float), index, value)
 
 
+def gate_set_resolution(gs: GateSet) -> float:
+    """Half the minimum pairwise trace distance between the elements of :func:`coefficient_table`.
+
+    Returns ``inf`` for a single-element class inventory. Raises
+    :class:`DegenerateGateSet` when two materially different configurations
+    produce the same state (resolution would be zero).
+    """
+    elements = list(coefficient_table(gs).elements)
+    if len(elements) < 2:
+        return math.inf
+    return 0.5 * closest_pair(elements)[2]
+
+
 @lru_cache(maxsize=16)
 def cached_resolution(gs: GateSet) -> float:
-    """Memoized :func:`gate_set_resolution` over the elements of :func:`coefficient_table`.
+    """Memoized :func:`gate_set_resolution`.
 
-    Gate sets are immutable, and the inventory behind both is built once per
-    gate set per process, so the first strict job after this call reuses it.
+    Gate sets are immutable, and the inventory behind the table is built once
+    per gate set per process, so the first strict job after this call reuses it.
     """
-    return gate_set_resolution(gs, list(coefficient_table(gs).elements))
+    return gate_set_resolution(gs)
 
 
 def closest_pair(elements: list[ConfigElement]) -> tuple[ConfigElement, ConfigElement, float]:

@@ -165,7 +165,7 @@ def test_criterion_5_sample_bound_value():
         * mp.log(mp.mpf(2) * 1 * math.comb(2, 2) / mp.mpf("0.05"))
     )
     want = int(mp.ceil(exact))
-    got = required_samples(m=4, n=2, d=1, eps=0.1, delta=0.05, scale=1.0)
+    got = required_samples(m=4, n=2, d=1, eps=0.1, delta=0.05)
     announce(
         "criterion 5 (sample-bound evaluation)",
         abs(got - want) <= 1,

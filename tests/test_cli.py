@@ -40,8 +40,8 @@ class TestReconstructCommand:
     def test_exact_strict_run(self, tmp_path, demo_file):
         out = tmp_path / "out"
         rc = run([
-            "reconstruct", "--circuit", str(demo_file), "--mode", "strict",
-            "--exact", "--seed", "3", "--out", str(out),
+            "reconstruct", "--circuit", str(demo_file), "--mode", "strict-exact",
+            "--seed", "3", "--out", str(out),
         ])
         assert rc == 0
         rec = parse_circuit((out / "reconstructed_circuit.json").read_text())
@@ -52,7 +52,7 @@ class TestReconstructCommand:
         path.write_text(emit_circuit(demo_circuit(3)), encoding="utf-8")
         out = tmp_path / "out"
         rc = run([
-            "reconstruct", "--circuit", str(path), "--mode", "strict", "--exact",
+            "reconstruct", "--circuit", str(path), "--mode", "strict-exact",
             "--seed", "7", "--out", str(out),
         ])
         assert rc == 0
@@ -71,7 +71,7 @@ class TestReconstructCommand:
         out = tmp_path / "out"
         rc = run([
             "reconstruct", "--circuit", str(path), "--gateset", "qft",
-            "--mode", "strict", "--exact", "--seed", "7",
+            "--mode", "strict-exact", "--seed", "7",
             "--out", str(out),
         ])
         assert rc == 0
@@ -113,7 +113,7 @@ class TestReconstructCommand:
 
     @pytest.mark.parametrize(
         "n, flags",
-        [(3, ["--mode", "hardware"]), (1, ["--mode", "strict"]), (1, ["--exact"])],
+        [(3, ["--mode", "hardware"]), (1, ["--mode", "strict"]), (1, ["--mode", "strict-exact"])],
         ids=["n3-hardware", "n1-strict", "n1-exact"],
     )
     def test_hardware_mode_off_two_qubits_is_config_error(self, tmp_path, capsys, n, flags):
@@ -135,7 +135,9 @@ class TestReconstructCommand:
         assert captured.out == ""
         assert "strict mode needs at least 2 qubits" in captured.err
 
-    @pytest.mark.parametrize("mode", [["--mode", "strict"], ["--exact"]], ids=["shots", "exact"])
+    @pytest.mark.parametrize(
+        "mode", [["--mode", "strict"], ["--mode", "strict-exact"]], ids=["shots", "exact"]
+    )
     def test_strict_run_prints_one_line(self, tmp_path, demo_file, capsys, mode):
         rc = run(["reconstruct", "--circuit", str(demo_file), "--shots", "5000", "--seed", "1",
                   "--out", str(tmp_path / "out")] + mode)
@@ -151,9 +153,8 @@ class TestReconstructCommand:
             ["--mode", "strict", "--shots", "-3"],
             ["--mode", "strict", "--delta", "2"],
             ["--t", "0"],
-            ["--mode", "hardware", "--exact"],
         ],
-        ids=["hardware-shots-0", "strict-shots-neg", "strict-delta-2", "t-0", "hardware-exact"],
+        ids=["hardware-shots-0", "strict-shots-neg", "strict-delta-2", "t-0"],
     )
     def test_bad_parameters_are_config_errors(self, tmp_path, demo_file, capsys, flags):
         out = tmp_path / "out"
@@ -165,16 +166,16 @@ class TestReconstructCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flags, ignored",
+        "flags, mode, ignored",
         [
-            (["--delta", "0.05"], "--delta"),
-            (["--mode", "strict", "--exact", "--delta", "0.05"], "--delta"),
-            (["--exact", "--noise-p", "0.5"], "--noise-p"),
+            (["--delta", "0.05"], "hardware", "--delta"),
+            (["--mode", "strict-exact", "--delta", "0.05"], "strict-exact", "--delta"),
+            (["--mode", "strict-exact", "--noise-p", "0.5"], "strict-exact", "--noise-p"),
         ],
         ids=["hardware-delta", "exact-delta", "exact-noise-p"],
     )
     def test_flags_the_mode_ignores_are_config_errors(
-        self, tmp_path, demo_file, capsys, flags, ignored
+        self, tmp_path, demo_file, capsys, flags, mode, ignored
     ):
         out = tmp_path / "out"
         rc = run([
@@ -182,7 +183,7 @@ class TestReconstructCommand:
         ] + flags)
         captured = capsys.readouterr()
         assert rc == 2
-        assert captured.err.startswith("configuration error: no effect with ")
+        assert captured.err.startswith(f"configuration error: no effect with --mode {mode}: ")
         assert captured.err.rstrip().endswith(f": {ignored}")
         assert not out.exists()
 
@@ -194,11 +195,12 @@ class TestReconstructCommand:
         path.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "out"
         assert run([
-            "reconstruct", "--circuit", str(path), "--exact", "--seed", "3", "--out", str(out),
+            "reconstruct", "--circuit", str(path), "--mode", "strict-exact", "--seed", "3",
+            "--out", str(out),
         ]) == rc
         err = capsys.readouterr().err
         if rc:
-            assert err.startswith("configuration error: no effect with --exact: ")
+            assert err.startswith("configuration error: no effect with --mode strict-exact: ")
             assert err.rstrip().endswith("sets noise.depolarizing_p=0.5")
         assert out.exists() == (rc == 0)
 
@@ -223,7 +225,7 @@ class TestReconstructCommand:
     def test_exact_mode_ignores_shots(self, tmp_path, demo_file):
         out = tmp_path / "out"
         rc = run([
-            "reconstruct", "--circuit", str(demo_file), "--mode", "strict", "--exact",
+            "reconstruct", "--circuit", str(demo_file), "--mode", "strict-exact",
             "--shots", "0", "--seed", "3", "--out", str(out),
         ])
         assert rc == 0
@@ -240,7 +242,7 @@ class TestReconstructCommand:
         assert exit_.value.code == 2
 
     @pytest.mark.parametrize(
-        "mode", [["--mode", "strict"], ["--exact"], ["--mode", "hardware"]],
+        "mode", [["--mode", "strict"], ["--mode", "strict-exact"], ["--mode", "hardware"]],
         ids=["strict", "exact", "hardware"],
     )
     def test_eps_flag_is_gone(self, tmp_path, demo_file, capsys, mode):
@@ -252,13 +254,21 @@ class TestReconstructCommand:
         assert "unrecognized arguments: --eps 0.2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_exact_flag_is_gone(self, tmp_path, demo_file, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            run(["reconstruct", "--circuit", str(demo_file), "--exact", "--out", str(out)])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --exact" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unlearnable_circuit_is_reconstruction_error(self, tmp_path, capsys):
         # hidden S gate is outside the standard matching set
         doc = {"n": 2, "layers": [[{"gate": "S", "qubits": [0]}, {"gate": "I", "qubits": [1]}]]}
         path = tmp_path / "c.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         rc = run([
-            "reconstruct", "--circuit", str(path), "--mode", "strict", "--exact",
+            "reconstruct", "--circuit", str(path), "--mode", "strict-exact",
             "--out", str(tmp_path / "out"),
         ])
         assert rc == 1

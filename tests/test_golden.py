@@ -171,7 +171,8 @@ CLI_CASES = {
         },
     ),
     "exact-d2": (
-        ["reconstruct", "--circuit", _data_file("demo_d2.json"), "--exact", "--seed", "3"],
+        ["reconstruct", "--circuit", _data_file("demo_d2.json"), "--mode", "strict-exact",
+         "--seed", "3"],
         {
             "report.json": "20a0c136880643c3f6a2765cb0c0b4356adf0e8c9ad788a6129d61e79a7c6b31",
             "report.csv": "f46fa3f6e39caa99221e55f88518b1aab5cc215ed3f7bd201805d9eef17b21ce",

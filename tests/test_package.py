@@ -2,6 +2,8 @@ import ast
 import importlib
 import importlib.util
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import qverify
@@ -51,3 +53,23 @@ def test_cli_only_parses_arguments():
                 private += [alias.name for alias in node.names if alias.name.startswith("_")]
     numpy = [m for m in modules if m.split(".")[0] == "numpy"]
     assert (numpy, private) == ([], [])
+
+
+def test_failing_property_test_prints_its_example(tmp_path):
+    """Under the suite's warning filters, a failing Hypothesis test keeps its report."""
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\n"
+        "def test_small(x):\n"
+        "    assert x < 5\n",
+        encoding="utf-8",
+    )
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 1
+    assert "Falsifying example" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr

@@ -18,7 +18,9 @@ from qverify.core import (
     trace_distance_array,
 )
 from qverify.errors import DimensionMismatch, NotNormalized
-from qverify.gates import standard_gate_set
+from qverify.gates import qft_gate_set, standard_gate_set
+from qverify.reconstruction import MIN_CONTRACTION, _admitted
+from qverify.resolution import coefficient_table
 from qverify.tomography import (
     RecordSet,
     _coefficients,
@@ -233,3 +235,26 @@ def test_cell_counts_match_per_shot_reference(m, seed, shots):
         want[row, col] += 1
     got = cell_counts(RecordSet.from_shots(n, bases, outcomes), subset)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("gs", [standard_gate_set(), qft_gate_set()], ids=["standard", "qft"])
+@settings(max_examples=10, deadline=None)
+@given(seed=seeds)
+def test_truth_inside_its_boxes_is_admitted(gs, seed):
+    """Coefficients anywhere inside an element's boxes admit it, at any contraction.
+
+    Twenty draws per element: lambda at MIN_CONTRACTION, at 1 and uniform in
+    between, half-widths log-uniform in [1e-4, 1], and each coefficient at
+    lambda * e_P + s_P * h_P with s_P uniform in (-1, 1).
+    """
+    rng = np.random.default_rng(seed)
+    table = coefficient_table(gs)
+    e = np.zeros((len(table.elements), 256))
+    np.put_along_axis(e, table.index, table.value, axis=1)
+    truth = np.repeat(np.arange(len(e)), 20)
+    lam = rng.uniform(MIN_CONTRACTION, 1.0, size=len(truth))
+    lam[0::20], lam[1::20] = MIN_CONTRACTION, 1.0
+    h = 10 ** rng.uniform(-4, 0, size=(len(truth), 256))
+    c = lam[:, None] * e[truth] + rng.uniform(-1, 1, size=h.shape) * h
+    c[:, 0], h[:, 0] = 0.0, np.inf  # the identity column, as the decoder's boxes set it
+    assert _admitted(c, h, table)[np.arange(len(truth)), truth].all()

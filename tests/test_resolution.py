@@ -159,7 +159,7 @@ class TestResolution:
     def test_pairwise_distances_respect_resolution(self):
         gs = four_gate_set()
         elems = enumerate_config_classes(gs)
-        d_c = gate_set_resolution(gs, elems)
+        d_c = gate_set_resolution(gs)
         for i in range(len(elems)):
             for j in range(i + 1, len(elems)):
                 d = trace_distance_array(elems[i].state.entries, elems[j].state.entries)

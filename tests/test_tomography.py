@@ -42,7 +42,7 @@ class TestRequiredSamples:
             mp.mpf(2) * 1 * math.comb(2, 2) / mp.mpf("0.05")
         )
         want = int(mp.ceil(exact))
-        got = required_samples(m=4, n=2, d=1, eps=0.1, delta=0.05, scale=1.0)
+        got = required_samples(m=4, n=2, d=1, eps=0.1, delta=0.05)
         assert abs(got - want) <= 1
         assert got == 118_044_143
 
@@ -62,16 +62,11 @@ class TestRequiredSamples:
         want = math.ceil(32 * 100 * 25 * math.log(2 * 6 / 0.1))
         assert got == want
 
-    def test_scale_warns(self):
-        with pytest.warns(UserWarning):
-            required_samples(4, 2, 1, 0.1, 0.05, scale=0.001)
-
     def test_invalid_parameters(self):
         for kwargs in (
             dict(m=0, n=2, d=1, eps=0.1, delta=0.05),
             dict(m=4, n=2, d=1, eps=-1, delta=0.05),
             dict(m=4, n=2, d=1, eps=0.1, delta=1.5),
-            dict(m=4, n=2, d=1, eps=0.1, delta=0.05, scale=0),
         ):
             with pytest.raises(InvalidParameter):
                 required_samples(**kwargs)
