@@ -119,8 +119,10 @@ class DensityMatrix:
             raise DimensionMismatch(f"expected {dim}x{dim} matrix, got {m.shape}")
         if not _allclose(m, m.conj().T):
             raise DimensionMismatch("matrix is not Hermitian within 1e-9")
-        if abs(np.trace(m).real - 1.0) > 1e-9:
-            raise NotNormalized(f"trace {np.trace(m)!r} is not 1")
+        with np.errstate(invalid="ignore"):  # inf and -inf on the diagonal sum to NaN
+            trace = np.trace(m)
+        if not abs(trace.real - 1.0) <= 1e-9:  # written so that a NaN trace fails it
+            raise NotNormalized(f"trace {trace!r} is not 1")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 

@@ -93,13 +93,6 @@ class GateSet:
                 return g
         raise UnknownGateName(f"gate {name!r} not in set")
 
-    @property
-    def identity(self) -> Gate | None:
-        for g in self.singles:
-            if np.allclose(g.matrix, np.eye(2), atol=1e-12):
-                return g
-        return None
-
 
 def standard_gate_set() -> GateSet:
     """{I, H, X, Y, Z} plus both CNOT orientations."""

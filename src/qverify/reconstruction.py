@@ -19,9 +19,12 @@ within a tolerance ``eps``, is kept as a library function; no learning mode
 calls it.
 
 Hardware mode replicates the two-qubit experimental shortcut instead: only the
-per-register marginals (i, i') are estimated, with dedicated Pauli settings; an
-entangling gate is detected by register purity, cancelled with an undo layer,
-and the residual overlap with the Bell state identifies the local gates.
+per-register marginals (i, i') are estimated, with dedicated Pauli settings.
+It too returns one strict layer per interruption point: if a register purity
+falls below PURITY_THRESHOLD, the two-qubit gate whose undo layer leaves the
+smallest residuals, else the two local gates of smallest residual. It
+certifies nothing, so under noise it can return a wrong layer where the strict
+modes decline.
 """
 
 from __future__ import annotations
@@ -231,20 +234,18 @@ class ReconstructionReport:
         }
         return json.dumps(doc, indent=1, sort_keys=True)
 
-    def to_csv(self, groups: tuple[tuple[int, ...], ...] = ()) -> str:
+    def to_csv(self, groups: tuple[tuple[int, ...], ...]) -> str:
         """``report.csv`` (schema v1): one row per layer and register.
 
         ``groups``, the hidden circuit's grouping of layer indices, labels the
-        rows if it covers the reconstructed depth; else layer i is group i - 1.
+        rows; every mode learns one layer per hidden layer, so it covers them.
         """
-        group_of = {}
-        if sum(map(len, groups)) == self.circuit.depth:
-            group_of = {i + 1: g for g, members in enumerate(groups) for i in members}
+        group_of = {i + 1: g for g, members in enumerate(groups) for i in members}
         lines = [
             "layer,group,register,gates,purity,purity_theory,relative_fidelity,distance,residual"
         ]
         for rep in self.per_layer:
-            head = [str(rep.index), str(group_of.get(rep.index, rep.index - 1))]
+            head = [str(rep.index), str(group_of[rep.index])]
             for reg in sorted(rep.purities):
                 values = [rep.purities[reg], rep.purities_theory[reg]] + [
                     table.get(reg, float("nan"))
@@ -355,6 +356,12 @@ def _register_marginal(window: np.ndarray, position: int) -> np.ndarray:
 # box may admit: a depolarized window is about lambda * element, lambda < 1.
 MIN_CONTRACTION = 0.3
 
+# Rounding allowance of the lambda-interval test: on its box corners an
+# estimate admits a single lambda, and rounding can put low a few ulps above
+# high. It only adds admissions, so a wrong element can be the only one
+# admitted only if the truth's own boxes already failed.
+INTERVAL_SLACK = 1e-12
+
 
 def _boxes(estimates: list[RdmEstimate], log_term: float) -> tuple[np.ndarray, np.ndarray]:
     """(windows, 4^m) coefficients and Hoeffding half-widths ``sqrt(2 * log_term / count)``.
@@ -391,7 +398,7 @@ def _admitted(c: np.ndarray, h: np.ndarray, table: CoefficientTable) -> np.ndarr
     ratio, slack = c[rows, index] / value, h[rows, index] / np.abs(value)
     low = np.maximum((ratio - slack).max(axis=1, initial=-np.inf), MIN_CONTRACTION)
     high = np.minimum((ratio + slack).min(axis=1, initial=np.inf), 1.0)
-    admitted[w, e] = low <= high
+    admitted[w, e] = low <= high + INTERVAL_SLACK
     return admitted
 
 
@@ -616,45 +623,27 @@ def _learn_layer_hardware(
     shots_per_setting: int,
     gs: GateSet,
     rng,
-) -> tuple[list[Layer], LayerReport]:
+) -> tuple[Layer, LayerReport]:
+    """One strict layer: the entangler if register purity flags one, else two local gates."""
     n = device.n
     rng = np.random.default_rng(rng)
     rs1 = _dedicated_record_set(device, k, prefix, shots_per_setting, rng, undo=None)
     raw1 = [estimate_window(rs1, (q, q + n)).matrix for q in range(n)]
     regs1 = [project_to_physical(m) for m in raw1]
-    report = LayerReport(index=k, structure=(), gates=())
-    report.cnot_detected = detect_cnot_by_purity(tuple(regs1))
-
+    report = LayerReport(k, (), (), cnot_detected=detect_cnot_by_purity(tuple(regs1)))
     if report.cnot_detected:
         entangler, searches = _identify_entangler(
             device, k, prefix, shots_per_setting, gs, rng, regs1
         )
         report.warnings.append("second round executed to undo the entangling gate")
+        layer = Layer(((0, 1),), (entangler,))
     else:
-        entangler, searches = None, [minimize_residual(reg, gs.singles) for reg in regs1]
+        searches = [minimize_residual(reg, gs.singles) for reg in regs1]
+        layer = Layer(((0,), (1,)), tuple(gate for gate, _ in searches))
+    report.structure, report.gates = layer.blocks, tuple(g.name for g in layer.gates)
     report.residuals = {str(q): residual for q, (_, residual) in enumerate(searches)}
-
-    single_gates = [gate for gate, _ in searches]
-    ident = gs.identity
-    nontrivial = [
-        g for g in single_gates if ident is None or not gates_equivalent(g, ident)
-    ]
-    layers: list[Layer] = []
-    if entangler is None:
-        layers.append(Layer(((0,), (1,)), tuple(single_gates)))
-    elif not nontrivial:
-        layers.append(Layer(((0, 1),), (entangler,)))
-    else:
-        report.warnings.append(
-            "composite layer: local gates precede the entangling gate"
-        )
-        layers.append(Layer(((0,), (1,)), tuple(single_gates)))
-        layers.append(Layer(((0, 1),), (entangler,)))
-
-    report.structure = tuple(b for layer in layers for b in layer.blocks)
-    report.gates = tuple(g.name for layer in layers for g in layer.gates)
-    _fill_register_diagnostics(report, layers, n, raw1)
-    return layers, report
+    _fill_register_diagnostics(report, layer, n, raw1)
+    return layer, report
 
 
 def _identify_entangler(device, k, prefix, shots_per_setting, gs, rng, regs1):
@@ -687,9 +676,9 @@ def _identify_entangler(device, k, prefix, shots_per_setting, gs, rng, regs1):
     return best[1], best[2]
 
 
-def _fill_register_diagnostics(report, layers, n, raw1) -> None:
+def _fill_register_diagnostics(report, layer, n, raw1) -> None:
     """Compare raw round-one marginals with the reconstructed layer's ideal ones."""
-    ideal = choi_state(compose_unitary(LayeredCircuit(n, tuple(layers))), n).amplitudes
+    ideal = choi_state(compose_unitary(LayeredCircuit(n, (layer,))), n).amplitudes
     for q in range(n):
         _register_row(
             report, str(q), raw1[q].entries, pure_marginal_array(ideal, [q, q + n], 2 * n)
@@ -749,13 +738,12 @@ def learn_multi(
         layer_rng = rng if isinstance(rng, np.random.Generator) else stream(rng or 0, k)
         try:
             if mode == "hardware":
-                layers, rep = _learn_layer_hardware(device, k, prefix, shots, gs, layer_rng)
-                learned.extend(layers)
+                layer, rep = _learn_layer_hardware(device, k, prefix, shots, gs, layer_rng)
             else:
                 layer, rep = _learn_single_full(
                     device, k, prefix, shots, gs, delta, layer_rng, mode == "strict-exact"
                 )
-                learned.append(layer)
+            learned.append(layer)
             reports.append(rep)
             global_warnings.extend(f"layer {k}: {w}" for w in rep.warnings)
         except ReconstructionError as exc:

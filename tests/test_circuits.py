@@ -89,7 +89,6 @@ class TestGates:
         gs = standard_gate_set()
         assert [g.name for g in gs.singles] == ["I", "H", "X", "Y", "Z"]
         assert len(gs.doubles) == 2
-        assert gs.identity is not None
 
 
 class TestLayerUnitary:

@@ -222,6 +222,9 @@ class TestTypes:
             DensityMatrix(1, np.array([[0.5, 1j], [2j, 0.5]]))
         with pytest.raises(NotNormalized):
             DensityMatrix(1, np.eye(2, dtype=complex))
+        # inf and -inf on the diagonal are Hermitian, and their trace is NaN
+        with pytest.raises(NotNormalized, match=r"^trace .*nan.* is not 1$"):
+            DensityMatrix(1, np.diag([np.inf, -np.inf]).astype(complex))
 
     def test_density_matrix_flags_nonphysical(self):
         m = np.diag([1.1, -0.1]).astype(complex)

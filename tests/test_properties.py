@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qverify.circuits import choi_state, emit_circuit, parse_circuit, random_circuit
 from qverify.core import (
@@ -90,11 +90,14 @@ SPECIALS = (np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.inf, -np.inf
 
 
 def _density_verdict(m: np.ndarray):
-    """What DensityMatrix(n, m) raised or returned with a plain np.allclose Hermitian check."""
+    """What DensityMatrix(n, m) raises or returns: a plain np.allclose Hermitian
+    check, then a trace whose real part must lie within 1e-9 of 1 (NaN does not)."""
     if not np.allclose(m, m.conj().T, atol=ATOL):
         return DimensionMismatch, "matrix is not Hermitian within 1e-9"
-    if abs(np.trace(m).real - 1.0) > 1e-9:
-        return NotNormalized, f"trace {np.trace(m)!r} is not 1"
+    with np.errstate(invalid="ignore"):
+        trace = np.trace(m)
+    if not abs(trace.real - 1.0) <= 1e-9:
+        return NotNormalized, f"trace {trace!r} is not 1"
     return None
 
 
@@ -106,6 +109,8 @@ def _density_verdict(m: np.ndarray):
     specials=st.integers(0, 2),
     where=st.sampled_from(("a", "b", "both")),
 )
+# inf and -inf on the diagonal: a Hermitian matrix whose trace is NaN
+@example(seed=3266816, n=2, scale=0.0, specials=2, where="a")
 def test_allclose_gives_numpy_verdict(seed, n, scale, specials, where):
     """Hermitian, near-Hermitian and NaN/inf input: np.allclose's verdict, exception and message."""
     rng = np.random.default_rng(seed)
@@ -239,13 +244,16 @@ def test_cell_counts_match_per_shot_reference(m, seed, shots):
 
 @pytest.mark.parametrize("gs", [standard_gate_set(), qft_gate_set()], ids=["standard", "qft"])
 @settings(max_examples=10, deadline=None)
-@given(seed=seeds)
-def test_truth_inside_its_boxes_is_admitted(gs, seed):
+@given(seed=seeds, corners=st.booleans())
+@example(seed=0, corners=True)
+def test_truth_inside_its_boxes_is_admitted(gs, seed, corners):
     """Coefficients anywhere inside an element's boxes admit it, at any contraction.
 
     Twenty draws per element: lambda at MIN_CONTRACTION, at 1 and uniform in
     between, half-widths log-uniform in [1e-4, 1], and each coefficient at
-    lambda * e_P + s_P * h_P with s_P uniform in (-1, 1).
+    lambda * e_P + s_P * h_P with s_P uniform in (-1, 1), or with s_P = +-1 on
+    every string when ``corners`` is set: the box corners, where the feasible
+    lambda is a single point.
     """
     rng = np.random.default_rng(seed)
     table = coefficient_table(gs)
@@ -255,6 +263,7 @@ def test_truth_inside_its_boxes_is_admitted(gs, seed):
     lam = rng.uniform(MIN_CONTRACTION, 1.0, size=len(truth))
     lam[0::20], lam[1::20] = MIN_CONTRACTION, 1.0
     h = 10 ** rng.uniform(-4, 0, size=(len(truth), 256))
-    c = lam[:, None] * e[truth] + rng.uniform(-1, 1, size=h.shape) * h
+    s = rng.choice((-1.0, 1.0), size=h.shape) if corners else rng.uniform(-1, 1, size=h.shape)
+    c = lam[:, None] * e[truth] + s * h
     c[:, 0], h[:, 0] = 0.0, np.inf  # the identity column, as the decoder's boxes set it
     assert _admitted(c, h, table)[np.arange(len(truth)), truth].all()

@@ -537,3 +537,25 @@ class TestHardwareHeuristics:
             detected = [rep.cnot_detected for rep in report.per_layer]
             truth = [len(layer.blocks) == 1 for layer in circuit.layers]
             assert detected == truth, name
+
+    @pytest.mark.parametrize(
+        "layers",
+        [
+            (L(("H", (0,)), ("X", (1,))), L(("CNOT", (0, 1)))),
+            (
+                L((builtin_gate("CNOT").reversed(), (0, 1))),
+                L(("X", (0,)), ("H", (1,))),
+                L(("CNOT", (0, 1))),
+            ),
+        ],
+        ids=["HX-CNOT", "CNOTrev-XH-CNOT"],
+    )
+    def test_hardware_mode_learns_one_layer_per_point_without_identity(self, layers):
+        """With no identity in the set, every layer is still one strict layer."""
+        cnot = builtin_gate("CNOT")
+        gs = GateSet(tuple(builtin_gate(name) for name in "HXYZ"), (cnot, cnot.reversed()))
+        circuit = circuit_of(2, *layers)
+        for seed in range(10):
+            report = learn_multi(device_for(circuit), 8192, gs, rng=seed, mode="hardware")
+            assert report.circuit.depth == circuit.depth, seed
+            assert same_circuit(report.circuit, circuit), seed
