@@ -3,7 +3,10 @@
 The record digests pin the exact records, outcomes and device time that a
 seed produces, so any change to the shot path that alters the order of random
 draws, the sampling rule or the setting order shows up here. They were
-computed from the per-setting device loop that the batched path replaced.
+computed from the per-setting device loop that the batched path replaced; the
+cases of 20k shots and more were computed from the code that drew every
+setting code and every uniform of a layer in one array, before draws and
+device chunks were bounded by shots, and cross both bounds.
 The estimate digests pin every window matrix, compatible-shot count and
 low-count list estimated from those records; they were computed from the
 per-string coefficient loop that the single contraction replaced. The CLI
@@ -68,6 +71,14 @@ STRICT_CASES = {
         "8476efa37db75a9ac8c535e11068ccf5160e3c177268ae8e403d9d1b14a396ac",
         4500,
     ),
+    (2, 1, 40000, 15): (
+        "ee9b2c2be63c0b470124d2cadd141f94f9589560d6b554b8c6fc9ef942d0d958",
+        40000,
+    ),
+    (3, 2, 20000, 16): (
+        "ebb4829a64e7ce67aaec5bd783a18652b7012dfc190c00bc76f19ad6959a51c4",
+        60000,
+    ),
 }
 
 
@@ -80,6 +91,29 @@ def test_shot_record_set_digest(case):
     prefix = LayeredCircuit(n, c.layers[: k - 1]).inverse()
     rs = _shot_record_set(dev, k, prefix, shots, np.random.default_rng(seed))
     assert (_digest(rs), dev.ledger.layer_count) == STRICT_CASES[case]
+
+
+# (n, k, shots, seed, depolarizing p) -> (digest, ledger layer_count)
+NOISY_STRICT_CASES = {
+    (2, 2, 40000, 17, 0.01): (
+        "0c18ad2c6affb14b68de73cee341dbbe28e8b130b5e3b7956fd8696c046bae31",
+        120000,
+    ),
+    (3, 3, 20000, 18, 0.01): (
+        "bdc1844b8907f79115e4175b2566b36536b31813e3d882d64a3ae626de6c1787",
+        100000,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOISY_STRICT_CASES))
+def test_noisy_shot_record_set_digest(case):
+    n, k, shots, seed, p = case
+    c = random_circuit(n, 3, standard_gate_set(), 100 + seed)
+    dev = Device(DeviceProfile(n, 3, Fraction(1), c), NoiseConfig(depolarizing_p=p))
+    prefix = LayeredCircuit(n, c.layers[: k - 1]).inverse()
+    rs = _shot_record_set(dev, k, prefix, shots, np.random.default_rng(seed))
+    assert (_digest(rs), dev.ledger.layer_count) == NOISY_STRICT_CASES[case]
 
 
 # (n, k, shots, seed) of STRICT_CASES -> digest of every pair window's estimate
