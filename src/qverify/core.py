@@ -92,8 +92,8 @@ class StateVec:
                 f"expected {1 << self.n_qubits} amplitudes, got shape {amp.shape}"
             )
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > ATOL:
-            raise NotNormalized(f"squared norm deviates from 1 by {abs(norm - 1)!r}")
+        if not abs(norm - 1.0) <= ATOL:  # written so that a NaN norm fails it
+            raise NotNormalized(f"norm deviates from 1 by {abs(norm - 1)!r}")
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
 

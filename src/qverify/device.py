@@ -12,8 +12,9 @@ a preparation code 0-7 into :data:`PREP_SEQUENCES` and a readout-axis code
 0-2 (X, Y, Z) for every qubit, and a shot count. Each call builds the circuit
 unitary once (and reuses it while consecutive calls repeat the same prefix,
 ``k`` and undo), then prepares, evolves, rotates and samples the settings in
-fixed chunks of :data:`CHUNK_SETTINGS` rows (inverse CDF on one uniform draw
-per shot). Chunking does not change which uniform draw a shot reads.
+chunks of whole settings, at most :data:`CHUNK_SETTINGS` rows and, unless one
+setting alone has more, :data:`CHUNK_SHOTS` shots (inverse CDF on one uniform
+draw per shot). Chunking does not change which uniform draw a shot reads.
 
 Depolarizing noise is simulated with stochastic pure-state trajectories: after
 each gate of the hidden circuit, every touched qubit independently suffers a
@@ -23,7 +24,11 @@ and preparation gates are exact.
 Host memory per chunk: without noise a chunk holds one 2^n-amplitude column
 per setting, at most 2^n x CHUNK_SETTINGS whatever the number of settings.
 With noise it holds one more column per shot that drew at least one error;
-a shot that drew none reads its setting's column.
+a shot that drew none reads its setting's column. Per shot, a chunk holds its
+uniform draw and column number (8 bytes each), its outcome in the smallest
+unsigned type and, one CDF edge at a time, a float and a bool to compare; each
+chunk draws only its own uniforms. Across the call, the one per-shot array is
+the int64 outcome array it returns.
 """
 
 from __future__ import annotations
@@ -53,10 +58,13 @@ PREP_VECTORS = np.array(
 PREP_VECTORS.flags.writeable = False
 _READOUT = np.array([AXIS_ROTATIONS[axis] for axis in AXES])
 
-# Settings prepared, evolved and sampled together. Bounds the host arrays of
-# one noiseless call at 2^n x CHUNK_SETTINGS amplitudes; a noisy chunk holds
-# one more column per shot that drew at least one error.
+# Settings prepared, evolved and sampled together: a chunk ends after
+# CHUNK_SETTINGS settings or CHUNK_SHOTS shots, whichever comes first, but
+# always holds at least one whole setting. Bounds the host arrays of one
+# noiseless chunk at 2^n x CHUNK_SETTINGS amplitudes plus a few bytes per shot;
+# a noisy chunk holds one more column per shot that drew at least one error.
 CHUNK_SETTINGS = 4096
+CHUNK_SHOTS = 1 << 14
 
 SETTING_FIELDS = ("prep", "axes", "shots")
 
@@ -218,9 +226,10 @@ class Device:
         Returns one flat int array of outcome indices, grouped by setting in
         row order (qubit 0 is the most significant bit; a 0 bit means +1).
         Draw order: one integer from ``rng`` seeds the trajectory-noise stream,
-        then ``rng.random(total)`` is read setting by setting (the stream of one
-        ``rng.random(count)`` per setting); settings are sampled in chunks of
-        :data:`CHUNK_SETTINGS` rows, each reading its slice of that draw.
+        then the stream of one ``rng.random(total)`` is read setting by setting
+        (the stream of one ``rng.random(count)`` per setting); settings are
+        sampled in chunks of whole settings, each drawing its own slice of that
+        stream as one ``rng.random(shots in the chunk)``.
         Noise never draws from ``rng``, so a seed's measurement draws are the
         same at every noise strength. A chunk evolves one column per setting,
         plus, with noise, one per shot that drew at least one error.
@@ -229,21 +238,26 @@ class Device:
         prep, axes, counts = self._setting_codes(settings)
         rng = np.random.default_rng(rng)
         noise_rng = np.random.default_rng(int(rng.integers(2**63)))
-        u01 = rng.random(int(counts.sum()))
-        draws = np.empty(len(u01), dtype=np.int64)
+        draws = np.empty(int(counts.sum()), dtype=np.int64)
         noisy = self._noise.depolarizing_p != 0.0
         u, undo_u = self._call_unitaries(inverse_prefix, k, undo)
         ends = np.cumsum(counts)
-        for a in range(0, len(counts), CHUNK_SETTINGS):
-            b = min(a + CHUNK_SETTINGS, len(counts))
-            lo, hi = ends[a] - counts[a], ends[b - 1]
+        a = 0
+        while a < len(counts):
+            lo = ends[a] - counts[a]
+            # at most CHUNK_SETTINGS settings and CHUNK_SHOTS shots, but never
+            # less than one whole setting
+            b = max(a + 1, int(np.searchsorted(ends, lo + CHUNK_SHOTS, side="right")))
+            b = min(b, a + CHUNK_SETTINGS)
+            hi = ends[b - 1]
             states = u @ _product_states(prep[a:b])
             chunk_axes, columns = axes[a:b], np.repeat(np.arange(b - a), counts[a:b])
             if noisy:  # the hidden layers run as trajectories
                 states, columns, owners = self._trajectories(states, columns, k, undo_u, noise_rng)
                 chunk_axes = chunk_axes[owners]
-            draws[lo:hi] = _sample(_rotate_to_z(states, chunk_axes), columns, u01[lo:hi])
-        self.ledger.add_shots(inverse_prefix.depth + k + (undo is not None), len(u01))
+            draws[lo:hi] = _sample(_rotate_to_z(states, chunk_axes), columns, rng.random(hi - lo))
+            a = b
+        self.ledger.add_shots(inverse_prefix.depth + k + (undo is not None), len(draws))
         return draws
 
     def _trajectories(self, cols, setting, k, undo_u, rng):
@@ -333,7 +347,7 @@ def _sample(states: np.ndarray, columns: np.ndarray, u01: np.ndarray) -> np.ndar
     """Inverse-CDF outcome index of each shot; shot i reads column ``columns[i]``."""
     probs = np.abs(states) ** 2
     cdf = np.cumsum(probs / probs.sum(axis=0), axis=0)
-    draws = np.zeros(len(u01), dtype=np.int64)
+    draws = np.zeros(len(u01), dtype=np.min_scalar_type(len(cdf) - 1))
     for edge in cdf[:-1]:  # a draw past every other edge is the last outcome
         draws += edge[columns] <= u01
     return draws

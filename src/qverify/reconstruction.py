@@ -283,11 +283,18 @@ def _run_settings(device: Device, k: int, prefix: LayeredCircuit, rows, counts, 
     anc_axes, anc_outs01, pri_axes = rows[:, :n], rows[:, n : 2 * n], rows[:, 2 * n :]
     anc_digits = 2 * anc_axes + anc_outs01
     settings = settings_table(_ANCILLA_PREP[anc_digits], pri_axes, counts)
+    # an index is below 2^n, so its bits shift out of the smallest unsigned type
     indices = device.execute_settings(prefix, k, settings, rng, undo=undo)
+    indices = indices.astype(np.min_scalar_type((1 << n) - 1))
     digits = np.repeat(np.hstack([2 * pri_axes, anc_digits]), counts, axis=0)
     for q in range(n):  # qubit 0 is the most significant bit of an index
         digits[:, q] += ((indices >> (n - 1 - q)) & 1).astype(np.int8)
     return digits
+
+
+# Shots whose setting digits are drawn at a time: the draw buffer stays at
+# 4n x _DRAW_ROWS bytes whatever the shot count.
+_DRAW_ROWS = 1 << 14
 
 
 def _draw_setting_codes(rng, shots: int, n: int) -> np.ndarray:
@@ -295,13 +302,17 @@ def _draw_setting_codes(rng, shots: int, n: int) -> np.ndarray:
 
     Ancilla axes, ancilla outcome bits and principal axes are drawn in that
     order, n columns each, and packed column by column, first column most
-    significant.
+    significant, into the smallest signed type that holds 18^n. Each block is
+    the stream of one (shots, n) draw, read :data:`_DRAW_ROWS` rows at a time
+    as int32: below 2^32 a value takes one 32-bit draw whatever its dtype.
     """
-    code = np.zeros(shots, dtype=np.int64)
+    code = np.zeros(shots, dtype=np.min_scalar_type(-(18**n)))
     for radix in (3, 2, 3):
-        for column in rng.integers(0, radix, size=(shots, n)).T:
-            code *= radix
-            code += column
+        for lo in range(0, shots, _DRAW_ROWS):
+            rows = code[lo : lo + _DRAW_ROWS]
+            for column in rng.integers(0, radix, size=(len(rows), n), dtype=np.int32).T:
+                rows *= radix
+                rows += column
     return code
 
 

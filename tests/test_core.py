@@ -212,6 +212,8 @@ class TestTypes:
     def test_state_vec_validates_norm(self):
         with pytest.raises(NotNormalized):
             StateVec(1, np.array([1.0, 1.0]))
+        with pytest.raises(NotNormalized, match=r"^norm deviates from 1 by .*nan"):
+            StateVec(1, np.array([np.nan, 0.0]))
 
     def test_state_vec_validates_length(self):
         with pytest.raises(DimensionMismatch):

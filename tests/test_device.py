@@ -194,27 +194,42 @@ class TestChunking:
         c = random_circuit(3, 2, standard_gate_set(), 4)
         prefix = random_circuit(3, 1, standard_gate_set(), 5)
         settings = random_table(3, 23, 6)
+        whole = np.random.default_rng(8)
+        whole.integers(2**63)  # the noise stream's seed
+        whole.random(settings["shots"].sum())
+        after = whole.random()
         runs = []
-        for chunk in (4096, 5):
+        # (settings, shots) bounds: one whole batch first; a bound of 1 or 7
+        # shots ends chunks inside a run of settings and leaves a setting of
+        # more shots than the bound in a chunk of its own
+        for chunk, chunk_shots in ((4096, 1 << 14), (5, 1 << 14), (4096, 1), (4096, 7), (5, 7)):
             monkeypatch.setattr("qverify.device.CHUNK_SETTINGS", chunk)
+            monkeypatch.setattr("qverify.device.CHUNK_SHOTS", chunk_shots)
             dev = Device(DeviceProfile(3, 2, Fraction(1), c), NoiseConfig(depolarizing_p=p))
-            runs.append(dev.execute_settings(prefix, 2, settings, np.random.default_rng(8)))
+            rng = np.random.default_rng(8)
+            runs.append(dev.execute_settings(prefix, 2, settings, rng))
+            # the chunks' uniforms leave the stream where one whole draw does
+            assert rng.random() == after
         assert len(runs[0]) == settings["shots"].sum()
-        assert np.array_equal(runs[0], runs[1])
+        for run in runs[1:]:
+            assert np.array_equal(runs[0], run)
 
     def test_n8_record_set_memory_is_bounded(self):
         from qverify.reconstruction import _shot_record_set
 
-        c = random_circuit(8, 1, standard_gate_set(), 9)
-        dev = Device(DeviceProfile(8, 1, Fraction(1), c))
-        tracemalloc.start()
-        try:
-            rs = _shot_record_set(dev, 1, identity_circuit(8), 20_000, np.random.default_rng(10))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(rs) == 20_000
-        assert peak < 128 * 2**20, f"peak {peak / 2**20:.0f} MB"
+        # (n, shots, bound on the peak in bytes): at n=8 the chunks' columns
+        # dominate; at n=3 the per-shot arrays do, bounded at 24 bytes a shot
+        for n, shots, bound in ((8, 20_000, 128 * 2**20), (3, 200_000, 24 * 200_000)):
+            c = random_circuit(n, 1, standard_gate_set(), 9)
+            dev = Device(DeviceProfile(n, 1, Fraction(1), c))
+            tracemalloc.start()
+            try:
+                rs = _shot_record_set(dev, 1, identity_circuit(n), shots, np.random.default_rng(10))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(rs) == shots
+            assert peak < bound, f"n={n}: peak {peak / 2**20:.1f} MB, {peak / shots:.1f} B/shot"
 
 
 def per_setting_trajectories(hidden, p, prefix, k, settings, rng, ledger, undo=None):
