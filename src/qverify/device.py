@@ -28,7 +28,10 @@ a shot that drew none reads its setting's column. Per shot, a chunk holds its
 uniform draw and column number (8 bytes each), its outcome in the smallest
 unsigned type and, one CDF edge at a time, a float and a bool to compare; each
 chunk draws only its own uniforms. Across the call, the one per-shot array is
-the int64 outcome array it returns.
+the outcome array it returns, in the smallest unsigned type that holds 2^n - 1
+(uint8 up to n = 8). The settings table is read and checked in its own integer
+types, never copied; per setting the call adds only the running shot total, in
+the smallest unsigned type that holds the shot count.
 """
 
 from __future__ import annotations
@@ -167,14 +170,17 @@ class Device:
             raise InvalidRequest(f"undo layer covers {sorted(undo.qubits())}, not 0..{self.n - 1}")
 
     def _setting_codes(self, settings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Validated (settings, n) prep and readout-axis codes, and shot counts."""
+        """Validated (settings, n) prep and readout-axis codes, and shot counts.
+
+        Each is a view of its table field, checked in the field's own dtype.
+        """
         dtype = getattr(settings, "dtype", None)
         if getattr(dtype, "names", None) != SETTING_FIELDS or settings.ndim != 1:
             raise InvalidRequest(f"settings must be a 1-D table with fields {SETTING_FIELDS}")
         for name, shape in zip(SETTING_FIELDS, ((self.n,), (self.n,), ())):
             if dtype[name].base.kind not in "iu" or dtype[name].shape != shape:
                 raise InvalidRequest(f"{name} must hold integers shaped {shape}, not {dtype[name]}")
-        prep, axes, counts = (settings[name].astype(np.int64) for name in SETTING_FIELDS)
+        prep, axes, counts = (settings[name] for name in SETTING_FIELDS)
         for name, codes, radix in (("prep", prep, len(PREP_SEQUENCES)), ("axes", axes, len(AXES))):
             if codes.size and (codes.min() < 0 or codes.max() >= radix):
                 raise InvalidRequest(f"{name} code outside 0..{radix - 1}")
@@ -222,9 +228,11 @@ class Device:
         """Run a :func:`settings_table` of settings sharing prefix, ``k`` and undo.
 
         Every setting is validated before any unitary, draw or ledger entry:
-        the table's fields, its row width n, the code ranges and ``shots >= 0``.
-        Returns one flat int array of outcome indices, grouped by setting in
-        row order (qubit 0 is the most significant bit; a 0 bit means +1).
+        the table's fields, its row width n, the code ranges and ``shots >= 0``,
+        each in the field's own integer type. Returns one flat array of outcome
+        indices in ``np.min_scalar_type(2**n - 1)`` (uint8 up to n = 8), grouped
+        by setting in row order (qubit 0 is the most significant bit; a 0 bit
+        means +1).
         Draw order: one integer from ``rng`` seeds the trajectory-noise stream,
         then the stream of one ``rng.random(total)`` is read setting by setting
         (the stream of one ``rng.random(count)`` per setting); settings are
@@ -238,25 +246,27 @@ class Device:
         prep, axes, counts = self._setting_codes(settings)
         rng = np.random.default_rng(rng)
         noise_rng = np.random.default_rng(int(rng.integers(2**63)))
-        draws = np.empty(int(counts.sum()), dtype=np.int64)
+        total = int(counts.sum())
+        draws = np.empty(total, dtype=np.min_scalar_type((1 << self.n) - 1))
         noisy = self._noise.depolarizing_p != 0.0
         u, undo_u = self._call_unitaries(inverse_prefix, k, undo)
-        ends = np.cumsum(counts)
-        a = 0
+        ends = np.cumsum(counts, dtype=np.min_scalar_type(total))
+        a = lo = 0
         while a < len(counts):
-            lo = ends[a] - counts[a]
             # at most CHUNK_SETTINGS settings and CHUNK_SHOTS shots, but never
             # less than one whole setting
             b = max(a + 1, int(np.searchsorted(ends, lo + CHUNK_SHOTS, side="right")))
             b = min(b, a + CHUNK_SETTINGS)
-            hi = ends[b - 1]
+            hi = int(ends[b - 1])
             states = u @ _product_states(prep[a:b])
-            chunk_axes, columns = axes[a:b], np.repeat(np.arange(b - a), counts[a:b])
+            # np.repeat refuses uint64 counts, so the chunk's counts go to intp
+            columns = np.repeat(np.arange(b - a), counts[a:b].astype(np.intp))
+            chunk_axes = axes[a:b]
             if noisy:  # the hidden layers run as trajectories
                 states, columns, owners = self._trajectories(states, columns, k, undo_u, noise_rng)
                 chunk_axes = chunk_axes[owners]
             draws[lo:hi] = _sample(_rotate_to_z(states, chunk_axes), columns, rng.random(hi - lo))
-            a = b
+            a, lo = b, hi
         self.ledger.add_shots(inverse_prefix.depth + k + (undo is not None), len(draws))
         return draws
 

@@ -273,23 +273,15 @@ def _index_bits(indices: np.ndarray, n: int) -> np.ndarray:
 
 
 def _run_settings(device: Device, k: int, prefix: LayeredCircuit, rows, counts, rng, undo=None):
-    """Run ``counts[i]`` shots of the setting in row i of ``rows``.
+    """Run ``counts[i]`` shots of the setting whose record digits are row i of ``rows``.
 
-    A row holds the ancilla axes, ancilla outcome bits and principal axes, n
-    codes each. Returns the (shots, 2n) wire digits of :class:`RecordSet`,
-    grouped by setting in row order.
+    Rows are as :meth:`RecordSet.from_settings` takes them: n principal
+    digits ``2 * axis``, then n ancilla digits ``2 * axis + bit``. Returns the
+    device's outcome indices, grouped by setting in row order.
     """
     n = device.n
-    anc_axes, anc_outs01, pri_axes = rows[:, :n], rows[:, n : 2 * n], rows[:, 2 * n :]
-    anc_digits = 2 * anc_axes + anc_outs01
-    settings = settings_table(_ANCILLA_PREP[anc_digits], pri_axes, counts)
-    # an index is below 2^n, so its bits shift out of the smallest unsigned type
-    indices = device.execute_settings(prefix, k, settings, rng, undo=undo)
-    indices = indices.astype(np.min_scalar_type((1 << n) - 1))
-    digits = np.repeat(np.hstack([2 * pri_axes, anc_digits]), counts, axis=0)
-    for q in range(n):  # qubit 0 is the most significant bit of an index
-        digits[:, q] += ((indices >> (n - 1 - q)) & 1).astype(np.int8)
-    return digits
+    settings = settings_table(_ANCILLA_PREP[rows[:, n:]], rows[:, :n] >> 1, counts)
+    return device.execute_settings(prefix, k, settings, rng, undo=undo)
 
 
 # Shots whose setting digits are drawn at a time: the draw buffer stays at
@@ -331,11 +323,15 @@ def _shot_record_set(
     # deduplication runs on flat codes; a code identifies its row, so each
     # distinct row is decoded back from it
     code, counts = np.unique(_draw_setting_codes(rng, shots, n), return_counts=True)
-    radices = np.repeat([3, 2, 3], n)
-    distinct = np.empty((len(code), 3 * n), dtype=np.int8)
-    for j in range(3 * n - 1, -1, -1):
-        code, distinct[:, j] = np.divmod(code, radices[j])
-    return RecordSet(n, _run_settings(device, k, prefix, distinct, counts, rng))
+    rows = np.zeros((len(code), 2 * n), dtype=np.int8)
+    # the code's last digits are the principal axes, then the ancilla bits and
+    # the ancilla axes, which both land on the ancilla digits
+    for radix, scale, wires in ((3, 2, range(n)), (2, 1, range(n, 2 * n)), (3, 2, range(n, 2 * n))):
+        for w in reversed(wires):
+            code, digit = np.divmod(code, radix)
+            rows[:, w] += scale * digit
+    outcomes = _run_settings(device, k, prefix, rows, counts, rng)
+    return RecordSet.from_settings(n, rows, counts, outcomes)
 
 
 def _window_estimates(
@@ -615,16 +611,18 @@ def _dedicated_record_set(
     """One tomography round with the nine dedicated (principal, ancilla) settings."""
     n = device.n
     rng = np.random.default_rng(rng)
-    rounds = []
-    for p_ax, a_ax in product(range(3), range(3)):
+    rows, counts = [], []
+    outcomes = np.empty((9, shots_per_setting), dtype=np.min_scalar_type((1 << n) - 1))
+    for round_outcomes, (p_ax, a_ax) in zip(outcomes, product(range(3), range(3))):
         anc_outs01 = rng.integers(0, 2, size=(shots_per_setting, n))
         # qubit 0 as the most significant bit keeps np.unique's row order
-        counts = np.bincount(anc_outs01 @ (1 << np.arange(n - 1, -1, -1)), minlength=1 << n)
-        present = np.flatnonzero(counts)
-        axes = np.ones((len(present), n), dtype=np.int8)
-        rows = np.hstack([a_ax * axes, _index_bits(present, n), p_ax * axes])
-        rounds.append(_run_settings(device, k, prefix, rows, counts[present], rng, undo))
-    return RecordSet(n, np.vstack(rounds))
+        count = np.bincount(anc_outs01 @ (1 << np.arange(n - 1, -1, -1)), minlength=1 << n)
+        present = np.flatnonzero(count)
+        principal = np.full((len(present), n), 2 * p_ax, dtype=np.int8)
+        rows.append(np.hstack([principal, 2 * a_ax + _index_bits(present, n)]))
+        counts.append(count[present])
+        round_outcomes[:] = _run_settings(device, k, prefix, rows[-1], counts[-1], rng, undo)
+    return RecordSet.from_settings(n, np.vstack(rows), np.concatenate(counts), outcomes.ravel())
 
 
 def _learn_layer_hardware(

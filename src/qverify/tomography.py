@@ -4,6 +4,10 @@ A record set is one (shots, 2n) int8 array of wire digits: n principal wires
 followed by their n classically generated ancilla wires. A shot's digit on a
 wire packs the setting axis and the outcome, ``2 * axis + bit`` with axis
 0=X, 1=Y, 2=Z and bit 0 for the +1 outcome and 1 for -1, so digits run 0..5.
+The shot path builds it once with :meth:`RecordSet.from_settings`, from one
+digit row per setting, the setting's shot count and one outcome index per shot:
+each row is repeated once per shot and the principal outcome bits are added in
+place, so the only per-shot arrays are the digits (2n bytes) and the outcomes.
 A Pauli-string coefficient over any wire subset is estimated as the mean, over
 the shots whose axes agree with the string at every non-identity position, of
 the product of outcomes at those positions. Each shot therefore contributes to
@@ -11,7 +15,7 @@ every compatible window simultaneously; no per-window resampling happens.
 
 A window's shots are first binned into (setting, outcome) cell counts: one
 base-6 code per shot over the window's digits, one ``np.bincount`` over the
-6^m cells, and a reordering into a (3^m, 2^m) matrix. All 4^m coefficients
+6^m cells per fixed block of shots, and a reordering into a (3^m, 2^m) matrix. All 4^m coefficients
 then come from one contraction of those counts, one wire at a time, with a
 constant (letter, axis, bit) table of +1, -1 and 0, and the compatible-shot
 counts from the same contraction with the table's absolute value. Counts are
@@ -109,6 +113,49 @@ class RecordSet:
             raise InvalidParameter("outcomes must be +1 or -1")
         return cls(n, 2 * bases.astype(np.int8) + (outcomes < 0))
 
+    @classmethod
+    def from_settings(cls, n: int, rows, counts, outcomes) -> RecordSet:
+        """Records of shots run setting by setting, built in one pass.
+
+        Row i of the (settings, 2n) ``rows`` holds setting i's wire digits with
+        the principal outcome bits left 0, so every principal digit is even.
+        ``counts[i]`` shots ran setting i; ``outcomes`` holds one outcome index
+        per shot, grouped by setting in row order, below 2^n with qubit 0 the
+        most significant bit (a 0 bit is the +1 outcome). Only the rows, counts
+        and outcomes are checked: the digits are made once, by repeating each
+        row and adding the principal bits in place, and never copied or scanned.
+        """
+        rows, counts, outcomes = np.asarray(rows), np.asarray(counts), np.asarray(outcomes)
+        if rows.ndim != 2 or rows.shape[1] != 2 * n or counts.shape != rows.shape[:1]:
+            raise InvalidParameter(
+                f"expected rows shaped (settings, {2 * n}) and one count per row, "
+                f"got {rows.shape} and {counts.shape}"
+            )
+        if outcomes.ndim != 1 or not all(
+            np.issubdtype(a.dtype, np.integer) for a in (rows, counts, outcomes)
+        ):
+            raise InvalidParameter("rows, counts and outcomes must be integer arrays")
+        if rows.size and (rows.min() < 0 or rows.max() > 5):
+            raise InvalidParameter("digits must be 2 * axis + bit, in 0..5")
+        if (rows[:, :n] & 1).any():
+            raise InvalidParameter("principal digits must be even: their bits are the outcomes")
+        if counts.size and counts.min() < 0:
+            raise InvalidParameter(f"negative shot count {counts.min()}")
+        if int(counts.sum()) != len(outcomes):
+            raise InvalidParameter(f"counts sum to {counts.sum()}, not {len(outcomes)} outcomes")
+        if outcomes.size and (outcomes.min() < 0 or outcomes.max() >= 1 << n):
+            raise InvalidParameter(f"outcome index outside 0..{(1 << n) - 1}")
+        outcomes = outcomes.astype(np.min_scalar_type((1 << n) - 1), copy=False)
+        digits = np.repeat(rows.astype(np.int8, copy=False), counts.astype(np.intp, copy=False), axis=0)
+        for q in range(n):  # qubit 0 is the most significant bit of an index
+            digits[:, q] += (outcomes >> (n - 1 - q)) & 1
+        digits.flags.writeable = False
+        # the checks above hold for every digit, so __post_init__'s copy and scan are skipped
+        rs = object.__new__(cls)
+        object.__setattr__(rs, "n", n)
+        object.__setattr__(rs, "digits", digits)
+        return rs
+
     @property
     def bases(self) -> np.ndarray:
         """(shots, 2n) int8 axis codes: 0=X, 1=Y, 2=Z."""
@@ -153,13 +200,19 @@ def _pauli_tensors(m: int) -> np.ndarray:
     return out
 
 
+# Shots binned at a time by cell_counts: a block's codes and the intp copy
+# np.bincount makes of them take at most 16 x _CELL_ROWS bytes.
+_CELL_ROWS = 1 << 14
+
+
 def cell_counts(rs: RecordSet, subset: tuple[int, ...]) -> np.ndarray:
     """(3^m, 2^m) shot counts per (setting, outcome) cell on the subset wires.
 
     Rows index the joint setting, columns the joint outcome bits (0 for +1),
     both with the first subset wire as the most significant digit. Each shot
-    gets one base-6 code over its subset digits and one ``np.bincount`` bins
-    them; int16 codes hold the 6^m cells up to m = 5.
+    gets one base-6 code over its subset digits, and one ``np.bincount`` per
+    block of :data:`_CELL_ROWS` shots bins them; int16 codes hold the 6^m
+    cells up to m = 5.
     """
     subset = tuple(int(w) for w in subset)
     if len(set(subset)) != len(subset):
@@ -167,12 +220,16 @@ def cell_counts(rs: RecordSet, subset: tuple[int, ...]) -> np.ndarray:
     if any(w < 0 or w >= rs.wires for w in subset):
         raise InvalidParameter(f"subset {subset} outside the {rs.wires} wires")
     m = len(subset)
-    code = np.zeros(len(rs), dtype=np.int16 if 6**m <= 1 << 15 else np.int64)
-    for w in subset:
-        code *= 6
-        code += rs.digits[:, w]
+    cells = np.zeros(6**m, dtype=np.intp)
+    for lo in range(0, len(rs), _CELL_ROWS):
+        block = rs.digits[lo : lo + _CELL_ROWS]
+        code = np.zeros(len(block), dtype=np.int16 if 6**m <= 1 << 15 else np.int64)
+        for w in subset:
+            code *= 6
+            code += block[:, w]
+        cells += np.bincount(code, minlength=6**m)
     # digit j of the code is (axis, bit) of wire j; move the bits after the axes
-    cells = np.bincount(code, minlength=6**m).reshape((3, 2) * m)
+    cells = cells.reshape((3, 2) * m)
     cells = cells.transpose(*range(0, 2 * m, 2), *range(1, 2 * m, 2))
     return cells.reshape(3**m, 1 << m)
 

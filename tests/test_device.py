@@ -169,7 +169,7 @@ class TestExecuteSettingsValidation:
         xh = PREP_SEQUENCES.index(("X",)), PREP_SEQUENCES.index(("H", "S"))
         settings = table(prep=((0, 0), xh, (0, 0)), axes=((2, 2), (0, 1), (2, 2)), shots=(4, 0, 4))
         out = dev.execute_settings(identity_circuit(2), 1, settings, np.random.default_rng(3))
-        assert out.shape == (8,) and out.dtype == np.int64
+        assert out.shape == (8,) and out.dtype == np.uint8
         assert dev.ledger.layer_count == 8
         no_rows = np.zeros((0, 2), int)
         empty = table(prep=no_rows, axes=no_rows, shots=np.zeros(0, int))
@@ -218,8 +218,14 @@ class TestChunking:
         from qverify.reconstruction import _shot_record_set
 
         # (n, shots, bound on the peak in bytes): at n=8 the chunks' columns
-        # dominate; at n=3 the per-shot arrays do, bounded at 24 bytes a shot
-        for n, shots, bound in ((8, 20_000, 128 * 2**20), (3, 200_000, 24 * 200_000)):
+        # dominate; at n=2 and 3 the per-shot arrays do; at n=4 nearly every
+        # shot has a setting of its own, so the per-setting arrays weigh too
+        for n, shots, bound in (
+            (8, 20_000, 128 * 2**20),
+            (3, 200_000, 12 * 200_000),
+            (2, 160_000, 9 * 160_000),
+            (4, 200_000, 60 * 200_000),
+        ):
             c = random_circuit(n, 1, standard_gate_set(), 9)
             dev = Device(DeviceProfile(n, 1, Fraction(1), c))
             tracemalloc.start()

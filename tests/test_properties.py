@@ -1,6 +1,7 @@
 """Property-based checks over randomly drawn inputs."""
 
 from itertools import product
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qverify.core import (
     trace_distance_array,
 )
 from qverify.errors import DimensionMismatch, NotNormalized
+from qverify import tomography
 from qverify.gates import qft_gate_set, standard_gate_set
 from qverify.reconstruction import MIN_CONTRACTION, _admitted
 from qverify.resolution import coefficient_table
@@ -227,7 +229,10 @@ def test_window_coefficients_match_per_string_reference(seed, m, high):
 @settings(max_examples=8, deadline=None)
 @given(seed=seeds, shots=st.integers(0, 400))
 def test_cell_counts_match_per_shot_reference(m, seed, shots):
-    """Binning agrees with one shot at a time, also past the 6^5 int16 codes."""
+    """Binning agrees with one shot at a time, also past the 6^5 int16 codes.
+
+    Blocks of 1 and 7 shots, and the default block, must give the same counts.
+    """
     rng = np.random.default_rng(seed)
     n = 4
     bases = rng.integers(0, 3, size=(shots, 2 * n))
@@ -238,8 +243,10 @@ def test_cell_counts_match_per_shot_reference(m, seed, shots):
         row = sum(int(b[w]) * 3 ** (m - 1 - j) for j, w in enumerate(subset))
         col = sum(int(o[w] < 0) << (m - 1 - j) for j, w in enumerate(subset))
         want[row, col] += 1
-    got = cell_counts(RecordSet.from_shots(n, bases, outcomes), subset)
-    assert np.array_equal(got, want)
+    rs = RecordSet.from_shots(n, bases, outcomes)
+    for rows in (1, 7, tomography._CELL_ROWS):
+        with patch.object(tomography, "_CELL_ROWS", rows):
+            assert np.array_equal(cell_counts(rs, subset), want), rows
 
 
 @pytest.mark.parametrize("gs", [standard_gate_set(), qft_gate_set()], ids=["standard", "qft"])

@@ -172,6 +172,40 @@ class TestRecordSet:
         assert np.array_equal(rs.outcomes, outcomes)
         assert len(rs) == 50 and rs.wires == 6
 
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_from_settings_matches_repeat_then_bits(self, n, rng):
+        rows = 2 * rng.integers(0, 3, size=(60, 2 * n))
+        rows[:, n:] += rng.integers(0, 2, size=(60, n))
+        counts = rng.integers(0, 4, size=60)
+        counts[::7] = 0  # settings that ran no shot
+        outcomes = rng.integers(0, 1 << n, size=counts.sum())
+        # repeat each row, then add the bits of each index, qubit 0 most significant
+        want = np.repeat(rows, counts, axis=0)
+        for q in range(n):
+            want[:, q] += (outcomes >> (n - 1 - q)) & 1
+        for dtype in (np.int64, np.min_scalar_type((1 << n) - 1)):
+            rs = RecordSet.from_settings(n, rows, counts, outcomes.astype(dtype))
+            assert rs.digits.dtype == np.int8 and not rs.digits.flags.writeable
+            assert np.array_equal(rs.digits, want)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(rows=[[0, 2, 1, 6], [4, 4, 0, 3]]),
+            dict(rows=[[0, 2, -1, 5], [4, 4, 0, 3]]),
+            dict(rows=[[0, 3, 1, 5], [4, 4, 0, 3]]),
+            dict(outcomes=[0, 4, 1]),
+            dict(counts=[2, 2]),
+            dict(counts=[1, 1]),
+        ],
+        ids=["digit-6", "digit-negative", "principal-odd", "outcome-2^n", "counts-over", "counts-under"],
+    )
+    def test_from_settings_rejects_bad_tables(self, change):
+        table = dict(rows=[[0, 2, 1, 5], [4, 4, 0, 3]], counts=[2, 1], outcomes=[0, 3, 1])
+        assert len(RecordSet.from_settings(2, **table)) == 3
+        with pytest.raises(InvalidParameter):
+            RecordSet.from_settings(2, **{**table, **change})
+
 
 def coefficients(rs: RecordSet, subset: tuple[int, ...]) -> dict:
     """{Pauli string: (coefficient, compatible shots)} of one window's contraction."""
