@@ -47,7 +47,6 @@ from .tomography import (
 )
 from .reconstruction import (
     ReconstructionReport,
-    detect_cnot_by_purity,
     learn_multi,
     match_two_qubit,
     minimize_residual,
@@ -89,7 +88,6 @@ __all__ = [
     "project_to_physical",
     "required_samples",
     "ReconstructionReport",
-    "detect_cnot_by_purity",
     "learn_multi",
     "match_two_qubit",
     "minimize_residual",

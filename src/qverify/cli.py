@@ -44,7 +44,7 @@ EXIT_RECONSTRUCTION = 1
 EXIT_CONFIG = 2
 
 # reconstruct flags each mode never reads; giving one is a configuration error
-_IGNORED = {"hardware": ("delta",), "strict-exact": ("delta", "noise_p")}
+_IGNORED = {"strict-exact": ("delta", "noise_p")}
 
 
 def _seed(flag: int | None) -> int:
@@ -177,7 +177,8 @@ def main(argv=None) -> int:
     p.add_argument("--circuit", required=True)
     p.add_argument("--gateset", default="standard")
     p.add_argument("--shots", type=int, default=8192)
-    p.add_argument("--delta", type=float, default=None, help="strict mode only (default 0.05)")
+    p.add_argument("--delta", type=float, default=None,
+                   help="failure probability, strict and hardware modes (default 0.05)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--mode", choices=MODES, default="hardware",
                    help="strict-exact decodes the infinite-shot oracle (default hardware)")

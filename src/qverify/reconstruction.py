@@ -1,30 +1,28 @@
 """Layer-by-layer reconstruction of a hidden circuit through the device API.
 
-Strict mode follows the sampling protocol exactly: every shot prepares a
-pseudo-measurement product state (classically sampled ancilla basis and
-outcomes), runs the learned-inverse prefix plus the hidden circuit up to the
-target layer, and measures a uniformly random Pauli basis. The pooled records
-feed overlapping tomography of all pair windows. Each window is decoded
-against the gate set's configuration elements: every Pauli coefficient gets a
-Hoeffding box from its compatible-shot count, and a window is certified when
-its boxes admit exactly one element, up to one contraction in [0.3, 1] that
-absorbs depolarizing noise. The certified elements settle every qubit once,
-as a local gate or as half of an in-window two-qubit gate; with probability
-at least 1 - delta every box holds the truth, so a returned layer is right;
-at any shot count, too few shots make a layer decline, never come back wrong.
+Every mode learns each layer the same way: records of pseudo-measurement
+shots feed overlapping tomography of all pair windows, and each window is
+decoded against the gate set's configuration elements. Every Pauli
+coefficient gets a Hoeffding box from its compatible-shot count, and a window
+is certified when its boxes admit exactly one element, up to one contraction
+in [0.3, 1] that absorbs depolarizing noise. The certified elements settle
+every qubit once, as a local gate or as half of an in-window two-qubit gate;
+with probability at least 1 - delta every box holds the truth, so a returned
+layer is right; at any shot count, too few shots make a layer decline, never
+come back wrong.
 
-strict-exact runs the same decoder on the infinite-shot oracle's windows with
+The modes differ only in where the records come from. In strict mode every
+shot prepares a pseudo-measurement product state (classically sampled
+ancilla basis and outcomes), runs the learned-inverse prefix plus the hidden
+circuit up to the target layer, and measures a uniformly random Pauli basis.
+Hardware mode runs the nine dedicated settings of the two-qubit experiment,
+one principal axis and one ancilla axis on every qubit at once, with
+``shots`` shots each; a window's strings with two different principal axes,
+or two different ancilla axes, are never measured, so those boxes stay
+unbounded. strict-exact reads the infinite-shot oracle's windows with
 zero-width boxes. :func:`match_two_qubit`, the older trace-distance rule
 within a tolerance ``eps``, is kept as a library function; no learning mode
 calls it.
-
-Hardware mode replicates the two-qubit experimental shortcut instead: only the
-per-register marginals (i, i') are estimated, with dedicated Pauli settings.
-It too returns one strict layer per interruption point: if a register purity
-falls below PURITY_THRESHOLD, the two-qubit gate whose undo layer leaves the
-smallest residuals, else the two local gates of smallest residual. It
-certifies nothing, so under noise it can return a wrong layer where the strict
-modes decline.
 """
 
 from __future__ import annotations
@@ -38,16 +36,13 @@ from itertools import product
 
 import numpy as np
 
-from .circuits import (
-    Layer, LayeredCircuit, choi_state, compose_unitary, emit_circuit, layer_unitary,
-)
+from .circuits import Layer, LayeredCircuit, choi_state, emit_circuit, layer_unitary
 from .core import (
     AXES,
     DensityMatrix,
     PauliBasis,
     partial_trace_array,
     pure_marginal_array,
-    purity,
     relative_fidelity_array,
     trace_distance_array,
 )
@@ -67,13 +62,12 @@ from .rng import stream
 from .resolution import MERGE_TOL, CoefficientTable, Provenance, coefficient_table
 # perfbench/spans.py wraps reconstruction.cached_resolution by this name
 from .resolution import cached_resolution  # noqa: F401
-from .tomography import (
-    RecordSet, RdmEstimate, estimate_window, pair_windows, pauli_coefficients,
-    project_to_physical,
-)
+from .tomography import RecordSet, RdmEstimate, estimate_window, pair_windows, pauli_coefficients
+# perfbench/spans.py wraps reconstruction.project_to_physical by this name
+from .tomography import project_to_physical  # noqa: F401
 
-# A register purity below this marks an entangling gate (hardware mode and
-# the continuous-gate noise sweep).
+# A register purity below this marks an entangling gate (hardware mode's
+# cnot_detected diagnostic and the continuous-gate noise sweep).
 PURITY_THRESHOLD = 0.75
 
 # learn_multi's modes, in the order its refusal names them
@@ -334,21 +328,53 @@ def _shot_record_set(
     return RecordSet.from_settings(n, rows, counts, outcomes)
 
 
-def _window_estimates(
-    device: Device, k: int, prefix: LayeredCircuit, shots: int, rng, exact: bool
-) -> list[RdmEstimate]:
-    """Pair-window estimates at ``k``: exact (no compatible-shot counts) or from ``shots``."""
+def _dedicated_record_set(
+    device: Device,
+    k: int,
+    prefix: LayeredCircuit,
+    shots_per_setting: int,
+    rng,
+    undo: Layer | None,
+) -> RecordSet:
+    """One tomography round with the nine dedicated (principal, ancilla) settings.
+
+    No learning mode passes an ``undo`` layer; the golden record digests still
+    pin that path.
+    """
     n = device.n
-    if not exact:
-        rs = _shot_record_set(device, k, prefix, shots, rng)
-        return [estimate_window(rs, subset) for subset in pair_windows(n)]
-    omega = device.ideal_choi_state(prefix, k).amplitudes
+    rng = np.random.default_rng(rng)
+    rows, counts = [], []
+    outcomes = np.empty((9, shots_per_setting), dtype=np.min_scalar_type((1 << n) - 1))
+    for round_outcomes, (p_ax, a_ax) in zip(outcomes, product(range(3), range(3))):
+        anc_outs01 = rng.integers(0, 2, size=(shots_per_setting, n))
+        # qubit 0 as the most significant bit keeps np.unique's row order
+        count = np.bincount(anc_outs01 @ (1 << np.arange(n - 1, -1, -1)), minlength=1 << n)
+        present = np.flatnonzero(count)
+        principal = np.full((len(present), n), 2 * p_ax, dtype=np.int8)
+        rows.append(np.hstack([principal, 2 * a_ax + _index_bits(present, n)]))
+        counts.append(count[present])
+        round_outcomes[:] = _run_settings(device, k, prefix, rows[-1], counts[-1], rng, undo)
+    return RecordSet.from_settings(n, np.vstack(rows), np.concatenate(counts), outcomes.ravel())
+
+
+def _window_estimates(
+    device: Device, k: int, prefix: LayeredCircuit, shots: int, rng, mode: str
+) -> list[RdmEstimate]:
+    """Pair-window estimates at ``k`` from ``mode``'s records, or exact in strict-exact."""
+    n = device.n
     windows = pair_windows(n)
-    rhos = np.stack([pure_marginal_array(omega, list(subset), 2 * n) for subset in windows])
-    return [
-        RdmEstimate(subset, DensityMatrix(4, rho), coeffs)
-        for subset, rho, coeffs in zip(windows, rhos, pauli_coefficients(rhos))
-    ]
+    if mode == "strict-exact":
+        omega = device.ideal_choi_state(prefix, k).amplitudes
+        rhos = np.stack([pure_marginal_array(omega, list(subset), 2 * n) for subset in windows])
+        return [
+            RdmEstimate(subset, DensityMatrix(4, rho), coeffs)
+            for subset, rho, coeffs in zip(windows, rhos, pauli_coefficients(rhos))
+        ]
+    if mode == "strict":
+        rs = _shot_record_set(device, k, prefix, shots, rng)
+    else:
+        rs = _dedicated_record_set(device, k, prefix, shots, rng, undo=None)
+    return [estimate_window(rs, subset) for subset in windows]
 
 
 def _register_marginal(window: np.ndarray, position: int) -> np.ndarray:
@@ -524,10 +550,10 @@ def _learn_single_full(
     gs: GateSet,
     delta: float,
     rng,
-    exact: bool,
+    mode: str,
 ) -> tuple[Layer, LayerReport]:
     n = device.n
-    estimates = _window_estimates(device, k, prefix, shots, rng, exact)
+    estimates = _window_estimates(device, k, prefix, shots, rng, mode)
     # delta split over the 255 non-identity strings of C(n, 2) windows and d layers
     log_term = math.log(2 * 255 * math.comb(n, 2) * device.d / delta)
     chosen, distances = _decode_windows(estimates, gs, n, log_term)
@@ -540,6 +566,8 @@ def _learn_single_full(
         if est.low_count_strings
     ]
     _fill_window_diagnostics(report, layer, n, {est.subset[:2]: est.matrix for est in estimates})
+    if mode == "hardware":
+        report.cnot_detected = min(report.purities.values()) < PURITY_THRESHOLD
     return layer, report
 
 
@@ -568,20 +596,18 @@ def _register_row(report: LayerReport, key: str, est: np.ndarray, ideal: np.ndar
     report.distances.setdefault(key, trace_distance_array(est, ideal))
 
 
-# -- hardware-style heuristics ------------------------------------------------------
-
-
-def detect_cnot_by_purity(est_pair) -> bool:
-    """Entangling gate present iff either register purity falls below PURITY_THRESHOLD."""
-    a, b = est_pair
-    return min(purity(a), purity(b)) < PURITY_THRESHOLD
+# -- residual search -----------------------------------------------------------------
 
 
 _BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 
 def minimize_residual(rho: DensityMatrix, g1) -> tuple[Gate, float]:
-    """Gate minimizing 1 - <Bell| (g^dag x I) rho (g x I) |Bell>."""
+    """Gate minimizing 1 - <Bell| (g^dag x I) rho (g x I) |Bell>.
+
+    No learning mode calls it; it stays while perfbench/spans.py traces it by
+    name.
+    """
     if not g1:
         raise EmptyGateSet("residual search needs at least one candidate")
     entries = rho.entries
@@ -600,100 +626,6 @@ def minimize_residual(rho: DensityMatrix, g1) -> tuple[Gate, float]:
     return best  # type: ignore[return-value]
 
 
-def _dedicated_record_set(
-    device: Device,
-    k: int,
-    prefix: LayeredCircuit,
-    shots_per_setting: int,
-    rng,
-    undo: Layer | None,
-) -> RecordSet:
-    """One tomography round with the nine dedicated (principal, ancilla) settings."""
-    n = device.n
-    rng = np.random.default_rng(rng)
-    rows, counts = [], []
-    outcomes = np.empty((9, shots_per_setting), dtype=np.min_scalar_type((1 << n) - 1))
-    for round_outcomes, (p_ax, a_ax) in zip(outcomes, product(range(3), range(3))):
-        anc_outs01 = rng.integers(0, 2, size=(shots_per_setting, n))
-        # qubit 0 as the most significant bit keeps np.unique's row order
-        count = np.bincount(anc_outs01 @ (1 << np.arange(n - 1, -1, -1)), minlength=1 << n)
-        present = np.flatnonzero(count)
-        principal = np.full((len(present), n), 2 * p_ax, dtype=np.int8)
-        rows.append(np.hstack([principal, 2 * a_ax + _index_bits(present, n)]))
-        counts.append(count[present])
-        round_outcomes[:] = _run_settings(device, k, prefix, rows[-1], counts[-1], rng, undo)
-    return RecordSet.from_settings(n, np.vstack(rows), np.concatenate(counts), outcomes.ravel())
-
-
-def _learn_layer_hardware(
-    device: Device,
-    k: int,
-    prefix: LayeredCircuit,
-    shots_per_setting: int,
-    gs: GateSet,
-    rng,
-) -> tuple[Layer, LayerReport]:
-    """One strict layer: the entangler if register purity flags one, else two local gates."""
-    n = device.n
-    rng = np.random.default_rng(rng)
-    rs1 = _dedicated_record_set(device, k, prefix, shots_per_setting, rng, undo=None)
-    raw1 = [estimate_window(rs1, (q, q + n)).matrix for q in range(n)]
-    regs1 = [project_to_physical(m) for m in raw1]
-    report = LayerReport(k, (), (), cnot_detected=detect_cnot_by_purity(tuple(regs1)))
-    if report.cnot_detected:
-        entangler, searches = _identify_entangler(
-            device, k, prefix, shots_per_setting, gs, rng, regs1
-        )
-        report.warnings.append("second round executed to undo the entangling gate")
-        layer = Layer(((0, 1),), (entangler,))
-    else:
-        searches = [minimize_residual(reg, gs.singles) for reg in regs1]
-        layer = Layer(((0,), (1,)), tuple(gate for gate, _ in searches))
-    report.structure, report.gates = layer.blocks, tuple(g.name for g in layer.gates)
-    report.residuals = {str(q): residual for q, (_, residual) in enumerate(searches)}
-    _fill_register_diagnostics(report, layer, n, raw1)
-    return layer, report
-
-
-def _identify_entangler(device, k, prefix, shots_per_setting, gs, rng, regs1):
-    """The entangler best explaining round one, and its undo round's residual searches."""
-    if not gs.doubles:
-        raise NoMatch("entanglement detected but the gate set has no two-qubit gate")
-    scored = []
-    for gate, choi in _candidates(tuple(gs.doubles), 2):
-        score = 0.0
-        for q in range(2):
-            ideal = _register_marginal(choi, q)
-            score += trace_distance_array(regs1[q].entries, ideal)
-        scored.append((score, gate))
-    scored.sort(key=lambda pair: pair[0])
-    near_best = [g for s, g in scored if s < scored[0][0] + 0.05]
-
-    best = None
-    for gate in near_best:
-        undo = Layer(((0, 1),), (gate.dagger(),))
-        rs2 = _dedicated_record_set(device, k, prefix, shots_per_setting, rng, undo=undo)
-        searches = [
-            minimize_residual(
-                project_to_physical(estimate_window(rs2, (q, q + device.n)).matrix), gs.singles
-            )
-            for q in range(2)
-        ]
-        total = sum(residual for _, residual in searches)
-        if best is None or total < best[0]:
-            best = (total, gate, searches)
-    return best[1], best[2]
-
-
-def _fill_register_diagnostics(report, layer, n, raw1) -> None:
-    """Compare raw round-one marginals with the reconstructed layer's ideal ones."""
-    ideal = choi_state(compose_unitary(LayeredCircuit(n, (layer,))), n).amplitudes
-    for q in range(n):
-        _register_row(
-            report, str(q), raw1[q].entries, pure_marginal_array(ideal, [q, q + n], 2 * n)
-        )
-
-
 # -- multi-layer learning -------------------------------------------------------------
 
 
@@ -708,35 +640,33 @@ def learn_multi(
 ) -> ReconstructionReport:
     """Reconstruct every layer recursively, re-applying learned inverses.
 
-    ``mode`` is "strict" (random-setting overlapping tomography and certified
-    window decoding), "strict-exact" (same decoder driven by the infinite-shot
-    oracle), or "hardware" (dedicated settings, purity detection, residual
-    search). ``shots`` counts shots per layer in strict mode and shots per
-    setting per round in hardware mode; strict-exact ignores it.
+    ``mode`` picks the records each layer is decoded from: "strict" (shots
+    with uniformly random settings), "hardware" (the nine dedicated settings)
+    or "strict-exact" (the infinite-shot oracle). ``shots`` counts shots per
+    layer in strict mode and shots per setting in hardware mode; strict-exact
+    ignores it.
 
-    The strict modes decode each pair window against the gate set's
-    configuration elements: a per-coefficient Hoeffding box, at total failure
-    probability ``delta`` over every string, window and layer, must admit
-    exactly one element, allowing one contraction in [0.3, 1] for noise.
-    strict-exact uses boxes of zero width. Hardware mode picks gates by purity
-    and residual and ignores ``delta``; no mode reads ``eps``. Before the
-    device runs, InvalidParameter refuses an unknown mode, n < 2 qubits (n != 2
-    in hardware mode), ``shots < 1`` where shots are drawn and ``delta``
-    outside (0, 1) in the strict modes; a degenerate gate set raises
-    DegenerateGateSet.
+    Every mode decodes each pair window against the gate set's configuration
+    elements: a per-coefficient Hoeffding box, at total failure probability
+    ``delta`` over every string, window and layer, must admit exactly one
+    element, allowing one contraction in [0.3, 1] for noise. strict-exact
+    uses boxes of zero width. In every mode too few shots make a layer raise
+    ReconstructionError, never come back wrong. Hardware mode also reports
+    ``cnot_detected``: a register purity below PURITY_THRESHOLD, a diagnostic
+    that does not pick the layer. No mode reads
+    ``eps``. Before the device runs, InvalidParameter refuses an unknown mode,
+    n < 2 qubits, ``shots < 1`` where shots are drawn and ``delta`` outside
+    (0, 1); a degenerate gate set raises DegenerateGateSet.
     """
     if mode not in MODES:
         raise InvalidParameter(f"unknown mode {mode!r}: use strict, strict-exact or hardware")
-    # strict learning reads pair windows; hardware mode is two-qubit only
-    if device.n < 2 or (mode == "hardware" and device.n != 2):
-        need = "exactly" if mode == "hardware" else "at least"
-        raise InvalidParameter(f"{mode} mode needs {need} 2 qubits, got n={device.n}")
-    if mode in ("strict", "hardware") and shots < 1:
+    if device.n < 2:  # learning reads pair windows
+        raise InvalidParameter(f"{mode} mode needs at least 2 qubits, got n={device.n}")
+    if mode != "strict-exact" and shots < 1:
         raise InvalidParameter(f"shots={shots} must be at least 1 in {mode} mode")
-    if mode != "hardware":
-        if not 0 < delta < 1:
-            raise InvalidParameter(f"delta={delta} must lie in (0, 1) in {mode} mode")
-        coefficient_table(gs)  # a degenerate gate set raises before the device runs
+    if not 0 < delta < 1:
+        raise InvalidParameter(f"delta={delta} must lie in (0, 1) in {mode} mode")
+    coefficient_table(gs)  # a degenerate gate set raises before the device runs
 
     learned: list[Layer] = []
     reports: list[LayerReport] = []
@@ -746,12 +676,7 @@ def learn_multi(
         # a generator is shared by every layer; a seed (None is 0) roots one stream per layer
         layer_rng = rng if isinstance(rng, np.random.Generator) else stream(rng or 0, k)
         try:
-            if mode == "hardware":
-                layer, rep = _learn_layer_hardware(device, k, prefix, shots, gs, layer_rng)
-            else:
-                layer, rep = _learn_single_full(
-                    device, k, prefix, shots, gs, delta, layer_rng, mode == "strict-exact"
-                )
+            layer, rep = _learn_single_full(device, k, prefix, shots, gs, delta, layer_rng, mode)
             learned.append(layer)
             reports.append(rep)
             global_warnings.extend(f"layer {k}: {w}" for w in rep.warnings)

@@ -113,8 +113,8 @@ class TestReconstructCommand:
 
     @pytest.mark.parametrize(
         "n, flags",
-        [(3, ["--mode", "hardware"]), (1, ["--mode", "strict"]), (1, ["--mode", "strict-exact"])],
-        ids=["n3-hardware", "n1-strict", "n1-exact"],
+        [(1, ["--mode", "hardware"]), (1, ["--mode", "strict"]), (1, ["--mode", "strict-exact"])],
+        ids=["n1-hardware", "n1-strict", "n1-exact"],
     )
     def test_hardware_mode_off_two_qubits_is_config_error(self, tmp_path, capsys, n, flags):
         path = tmp_path / "c.json"
@@ -152,9 +152,10 @@ class TestReconstructCommand:
             ["--shots", "0"],
             ["--mode", "strict", "--shots", "-3"],
             ["--mode", "strict", "--delta", "2"],
+            ["--mode", "hardware", "--delta", "2"],
             ["--t", "0"],
         ],
-        ids=["hardware-shots-0", "strict-shots-neg", "strict-delta-2", "t-0"],
+        ids=["hardware-shots-0", "strict-shots-neg", "strict-delta-2", "hardware-delta-2", "t-0"],
     )
     def test_bad_parameters_are_config_errors(self, tmp_path, demo_file, capsys, flags):
         out = tmp_path / "out"
@@ -168,11 +169,10 @@ class TestReconstructCommand:
     @pytest.mark.parametrize(
         "flags, mode, ignored",
         [
-            (["--delta", "0.05"], "hardware", "--delta"),
             (["--mode", "strict-exact", "--delta", "0.05"], "strict-exact", "--delta"),
             (["--mode", "strict-exact", "--noise-p", "0.5"], "strict-exact", "--noise-p"),
         ],
-        ids=["hardware-delta", "exact-delta", "exact-noise-p"],
+        ids=["exact-delta", "exact-noise-p"],
     )
     def test_flags_the_mode_ignores_are_config_errors(
         self, tmp_path, demo_file, capsys, flags, mode, ignored

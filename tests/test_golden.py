@@ -192,14 +192,16 @@ def _data_file(name: str) -> str:
     return str(resources.files("qverify").joinpath(f"data/{name}"))
 
 
-# command -> {written file: sha256 of its bytes}
+# command -> {written file: sha256 of its bytes}. The hardware-d3 reports were
+# computed from the certified hardware mode, which decodes the nine dedicated
+# settings' pair windows with the strict decoder and runs no undo round.
 CLI_CASES = {
     "hardware-d3": (
         ["reconstruct", "--circuit", _data_file("demo_d3.json"), "--noise-p", "0.002",
          "--shots", "2048", "--seed", "4"],
         {
-            "report.json": "ee9723de1b1c0e5275ef5e91ac11cbf86bc5dd3fbe34e8e375b4b9daa9e4dacf",
-            "report.csv": "3b6ad7b1559b3608a42a7d2ef1085c6b60c3a8ccb6bb23145f84c2b1320231bc",
+            "report.json": "12117ecf9dc64798a2e7f082ab67af0c122ea01c578be5a72611c777d9bb9755",
+            "report.csv": "e8ae8a533216129f306ef380f625479d74ed0abea1942578ca340ca34960aa11",
             "reconstructed_circuit.json":
                 "0698597f8d3249507142e43ef8c3b0b5b96aac426b3b2867a89c192c013c4090",
         },
