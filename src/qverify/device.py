@@ -18,24 +18,29 @@ draw per shot). Chunking does not change which uniform draw a shot reads.
 
 Depolarizing noise is simulated with stochastic pure-state trajectories: after
 each gate of the hidden circuit, every touched qubit independently suffers a
-uniformly random non-identity Pauli with the configured probability. Prefix
-and preparation gates are exact.
+uniformly random non-identity Pauli with the configured probability. Prefix,
+preparation and undo gates are exact. Each call draws its noise once, as a
+sparse list of the (shot, gate, qubit) sites that are hit. A shot with no hit
+reads its setting's noiseless column, the one a noiseless device gives it;
+only a hit shot runs the hidden gates one by one as a trajectory.
 
-Host memory per chunk: without noise a chunk holds one 2^n-amplitude column
-per setting, at most 2^n x CHUNK_SETTINGS whatever the number of settings.
-With noise it holds one more column per shot that drew at least one error;
-a shot that drew none reads its setting's column. Per shot, a chunk holds its
+Host memory per chunk: a chunk holds one 2^n-amplitude column per setting, at
+most 2^n x CHUNK_SETTINGS whatever the number of settings, plus, with noise,
+one column per shot of the chunk that drew a hit. Per shot, a chunk holds its
 uniform draw and column number (8 bytes each), its outcome in the smallest
 unsigned type and, one CDF edge at a time, a float and a bool to compare; each
 chunk draws only its own uniforms. Across the call, the one per-shot array is
 the outcome array it returns, in the smallest unsigned type that holds 2^n - 1
-(uint8 up to n = 8). The settings table is read and checked in its own integer
+(uint8 up to n = 8). The noise list holds 9 bytes per hit (an int64 site and
+an int8 Pauli code), about p x sites x shots of them, and nothing per site
+that is not hit. The settings table is read and checked in its own integer
 types, never copied; per setting the call adds only the running shot total, in
 the smallest unsigned type that holds the shot count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -48,7 +53,7 @@ from .core import AXES, AXIS_ROTATIONS, BUILTIN_MATRICES, PAULIS, StateVec, appl
 from .errors import InvalidRequest
 
 _PREP_GATES = ("X", "H", "S")
-# indexed by error code: 0 no error, then X, Y, Z
+# indexed by Pauli code: 1-3 for X, Y, Z (0, the identity, is never drawn)
 _NOISE_PAULIS = np.array([PAULIS[name] for name in "IXYZ"])
 
 # Every single-qubit preparation the device accepts (each of X, H, S at most
@@ -65,7 +70,7 @@ _READOUT = np.array([AXIS_ROTATIONS[axis] for axis in AXES])
 # CHUNK_SETTINGS settings or CHUNK_SHOTS shots, whichever comes first, but
 # always holds at least one whole setting. Bounds the host arrays of one
 # noiseless chunk at 2^n x CHUNK_SETTINGS amplitudes plus a few bytes per shot;
-# a noisy chunk holds one more column per shot that drew at least one error.
+# a noisy chunk holds one more column per shot that drew a hit.
 CHUNK_SETTINGS = 4096
 CHUNK_SHOTS = 1 << 14
 
@@ -188,17 +193,20 @@ class Device:
             raise InvalidRequest(f"negative shot count {counts.min()}")
         return prep, axes, counts
 
-    def _unitary(self, inverse_prefix: LayeredCircuit, k: int, undo: Layer | None = None):
-        """The noiseless circuit ``[undo] . hidden[:k] . inverse_prefix``."""
-        u = compose_unitary(self._hidden, k) @ compose_unitary(inverse_prefix)
-        return u if undo is None else layer_unitary(undo, self.n) @ u
+    def _unitaries(self, inverse_prefix: LayeredCircuit, k: int, undo: Layer | None = None):
+        """``(u, prefix_u, undo_u)``: the noiseless circuit and its outer factors.
+
+        ``u`` is ``[undo] . hidden[:k] . inverse_prefix``; ``prefix_u`` and
+        ``undo_u`` (None without an undo) are the factors a hit shot runs
+        around its trajectory.
+        """
+        prefix_u = compose_unitary(inverse_prefix)
+        undo_u = None if undo is None else layer_unitary(undo, self.n)
+        u = compose_unitary(self._hidden, k) @ prefix_u
+        return (u if undo_u is None else undo_u @ u), prefix_u, undo_u
 
     def _call_unitaries(self, inverse_prefix: LayeredCircuit, k: int, undo: Layer | None):
-        """``(before, after)``: the unitaries a call applies around its trajectories.
-
-        Noiseless, ``before`` is :meth:`_unitary` and ``after`` is None. Noisy,
-        ``before`` is the prefix unitary and ``after`` the undo layer's (None
-        without one); the hidden layers between them run per shot.
+        """:meth:`_unitaries` of a call, built once for consecutive calls that repeat it.
 
         One entry is kept. Its key is the identity of ``inverse_prefix`` and
         ``undo`` plus the value of ``k``, so a call passing the same two
@@ -207,12 +215,8 @@ class Device:
         """
         last = self._last_unitaries
         if last is None or last[0] is not inverse_prefix or last[1] != k or last[2] is not undo:
-            if self._noise.depolarizing_p != 0.0:
-                after = None if undo is None else layer_unitary(undo, self.n)
-                pair = (compose_unitary(inverse_prefix), after)
-            else:
-                pair = (self._unitary(inverse_prefix, k, undo), None)
-            last = self._last_unitaries = (inverse_prefix, k, undo, pair)
+            unitaries = self._unitaries(inverse_prefix, k, undo)
+            last = self._last_unitaries = (inverse_prefix, k, undo, unitaries)
         return last[3]
 
     # -- execution -------------------------------------------------------------
@@ -233,14 +237,21 @@ class Device:
         indices in ``np.min_scalar_type(2**n - 1)`` (uint8 up to n = 8), grouped
         by setting in row order (qubit 0 is the most significant bit; a 0 bit
         means +1).
-        Draw order: one integer from ``rng`` seeds the trajectory-noise stream,
-        then the stream of one ``rng.random(total)`` is read setting by setting
-        (the stream of one ``rng.random(count)`` per setting); settings are
-        sampled in chunks of whole settings, each drawing its own slice of that
-        stream as one ``rng.random(shots in the chunk)``.
-        Noise never draws from ``rng``, so a seed's measurement draws are the
-        same at every noise strength. A chunk evolves one column per setting,
-        plus, with noise, one per shot that drew at least one error.
+        Draw order: one integer from ``rng`` seeds the noise stream, then the
+        stream of one ``rng.random(total)`` is read setting by setting (the
+        stream of one ``rng.random(count)`` per setting); settings are sampled
+        in chunks of whole settings, each drawing its own slice of that stream
+        as one ``rng.random(shots in the chunk)``. Noise never draws from
+        ``rng``, so a seed's measurement draws are the same at every noise
+        strength.
+        The noise stream is drawn once per call, before the first chunk. The
+        call's sites are the (gate, touched qubit) pairs of ``hidden[:k]`` in
+        layer, block and qubit order, S of them per shot, numbered over the
+        call's shots in row order, shot-major: site s of shot i is i * S + s.
+        :func:`_hit_sites` draws which of them are hit and with which Pauli,
+        and each chunk takes its slice of that list, so chunk bounds change no
+        draw. A chunk evolves one column per setting through :meth:`_unitaries`
+        and runs one trajectory column per shot that drew a hit.
         """
         self._check_circuit(inverse_prefix, k, undo)
         prep, axes, counts = self._setting_codes(settings)
@@ -248,8 +259,9 @@ class Device:
         noise_rng = np.random.default_rng(int(rng.integers(2**63)))
         total = int(counts.sum())
         draws = np.empty(total, dtype=np.min_scalar_type((1 << self.n) - 1))
-        noisy = self._noise.depolarizing_p != 0.0
-        u, undo_u = self._call_unitaries(inverse_prefix, k, undo)
+        u, prefix_u, undo_u = self._call_unitaries(inverse_prefix, k, undo)
+        width = sum(len(block) for layer in self._hidden.layers[:k] for block in layer.blocks)
+        hits, paulis = _hit_sites(noise_rng, total * width, self._noise.depolarizing_p)
         ends = np.cumsum(counts, dtype=np.min_scalar_type(total))
         a = lo = 0
         while a < len(counts):
@@ -262,66 +274,90 @@ class Device:
             # np.repeat refuses uint64 counts, so the chunk's counts go to intp
             columns = np.repeat(np.arange(b - a), counts[a:b].astype(np.intp))
             chunk_axes = axes[a:b]
-            if noisy:  # the hidden layers run as trajectories
-                states, columns, owners = self._trajectories(states, columns, k, undo_u, noise_rng)
+            i, j = np.searchsorted(hits, (lo * width, hi * width))
+            if i < j:  # the chunk's hit shots run as trajectories
+                states, columns, owners = self._trajectories(
+                    states, columns, prep[a:b], hits[i:j] - lo * width, paulis[i:j], k,
+                    prefix_u, undo_u,
+                )
                 chunk_axes = chunk_axes[owners]
             draws[lo:hi] = _sample(_rotate_to_z(states, chunk_axes), columns, rng.random(hi - lo))
             a, lo = b, hi
         self.ledger.add_shots(inverse_prefix.depth + k + (undo is not None), len(draws))
         return draws
 
-    def _trajectories(self, cols, setting, k, undo_u, rng):
-        """Noisy runs of the hidden layers from one column state per setting.
+    def _trajectories(self, states, columns, prep, sites, paulis, k, prefix_u, undo_u):
+        """Add a trajectory column for each shot of a chunk that drew a hit.
 
-        ``setting`` names each shot's setting, in order. The noise stream is
-        drawn first, setting by setting: for each setting of c shots, for each
-        gate of ``hidden[:k]`` in layer then block order, for each qubit the
-        gate touches, ``rng.random(c) < p`` picks the hit shots and then
-        ``rng.integers(0, 3, size=c)`` picks X, Y or Z. The trajectories are
-        the settings' error-free runs plus one column per shot that drew at
-        least one error. Each gate is then applied once to every column, and
-        each error only to its hit columns.
+        ``states`` holds the noiseless column of each of the chunk's settings,
+        ``columns`` names each shot's setting and ``prep`` holds the settings'
+        prep codes. The chunk's hits are at ``sites``, numbered as in
+        :meth:`execute_settings` from the chunk's first shot, with Pauli codes
+        ``paulis`` (1-3 for X, Y, Z). A hit shot's column starts as
+        ``prefix_u`` times its product state; each gate of ``hidden[:k]`` is
+        applied to every such column, each of the gate's sites' Paulis right
+        after it to the hit columns, and then ``undo_u`` (None without an
+        undo) to every column.
 
-        Returns ``(states, columns, owners)``: the evolved columns, the column
-        each shot reads, and the setting each column belongs to.
+        Returns ``(states, columns, owners)``: the settings' columns followed
+        by the trajectory columns, the column each shot reads, and the setting
+        each column belongs to.
         """
-        n, p = self.n, self._noise.depolarizing_p
         gates = [
             (block, gate)
             for layer in self._hidden.layers[:k]
             for block, gate in zip(layer.blocks, layer.gates)
         ]
-        # one row per (gate, touched qubit): 0 for no error, 1-3 for X, Y, Z
-        errors = np.empty((sum(len(block) for block, _ in gates), len(setting)), dtype=np.int8)
-        start = 0
-        for c in np.bincount(setting, minlength=cols.shape[1]).tolist():
-            for row in errors[:, start : start + c]:
-                hit = rng.random(c) < p
-                row[:] = np.where(hit, rng.integers(0, 3, size=c) + 1, 0)
-            start += c
-        hit_shots = np.flatnonzero(errors.any(axis=0))
-        owners = np.concatenate((np.arange(cols.shape[1]), setting[hit_shots]))
-        columns = setting.copy()
-        columns[hit_shots] = np.arange(cols.shape[1], len(owners))
-        # error codes per trajectory column: none for the settings' own columns
-        errors = np.hstack((np.zeros((len(errors), cols.shape[1]), np.int8), errors[:, hit_shots]))
-        cols = cols[:, owners]
-        rows = iter(errors)
+        shot, site = np.divmod(sites, sum(len(block) for block, _ in gates))
+        hit_shots, hit_column = np.unique(shot, return_inverse=True)
+        owners = np.concatenate((np.arange(states.shape[1]), columns[hit_shots]))
+        columns[hit_shots] = np.arange(states.shape[1], len(owners))
+        cols = prefix_u @ _product_states(prep[owners[states.shape[1] :]])
+        s = 0
         for block, gate in gates:
-            cols = apply_unitary_array(cols, gate.matrix, block, n)
+            cols = apply_unitary_array(cols, gate.matrix, block, self.n)
             for q in block:
-                row = next(rows)
-                hit = np.flatnonzero(row)
-                if len(hit):
-                    cols[:, hit] = _apply_per_column(cols[:, hit], _NOISE_PAULIS[row[hit]], q)
-        return (cols if undo_u is None else undo_u @ cols), columns, owners
+                at = site == s
+                if at.any():
+                    hit = hit_column[at]
+                    cols[:, hit] = _apply_per_column(cols[:, hit], _NOISE_PAULIS[paulis[at]], q)
+                s += 1
+        cols = cols if undo_u is None else undo_u @ cols
+        return np.hstack((states, cols)), columns, owners
 
     # -- infinite-shot oracle ----------------------------------------------------
 
     def ideal_choi_state(self, inverse_prefix: LayeredCircuit, k: int) -> StateVec:
         """Choi state of prefix-then-first-k-layers, noiselessly (2n qubits)."""
         self._check_circuit(inverse_prefix, k, None)
-        return choi_state(self._unitary(inverse_prefix, k), self.n)
+        return choi_state(self._unitaries(inverse_prefix, k)[0], self.n)
+
+
+def _hit_sites(rng, grid: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The sites of ``0..grid-1`` that depolarizing noise hits, and each hit's Pauli.
+
+    Every site is hit independently with probability p and every hit picks X,
+    Y or Z uniformly. The hit sites are the running sums, minus one, of
+    ``rng.geometric(p)`` gaps, drawn in blocks of ``int(m + 4 * sqrt(m)) + 16``
+    gaps (m = grid * p) until a site lands at ``grid`` or beyond; then
+    ``rng.integers(1, 4, size=hits, dtype=np.int8)`` picks each hit's Pauli
+    code (1-3 for X, Y, Z). Returns the sorted int64 sites and their int8
+    codes; nothing is drawn when p or the grid is 0.
+    """
+    if p == 0.0 or grid == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int8)
+    mean = grid * p
+    block = int(mean + 4 * math.sqrt(mean)) + 16
+    parts, last = [], -1
+    while last < grid:
+        gaps = rng.geometric(p, size=block)
+        np.cumsum(gaps, out=gaps)
+        gaps += last
+        last = int(gaps[-1])
+        parts.append(gaps)
+    sites = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    sites = sites[: np.searchsorted(sites, grid)]
+    return sites, rng.integers(1, 4, size=len(sites), dtype=np.int8)
 
 
 def _product_states(prep: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 import dataclasses
+import math
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from qverify.circuits import (
     random_circuit,
 )
 from qverify.core import (
+    AXIS_ROTATIONS,
     PAULIS,
     PauliBasis,
     StateVec,
@@ -23,11 +26,11 @@ from qverify.core import (
 )
 from qverify.device import (
     PREP_SEQUENCES,
+    PREP_VECTORS,
     Device,
     DeviceProfile,
     NoiseConfig,
     TimeLedger,
-    _product_states,
     _rotate_to_z,
     _sample,
     device_time_for_learning,
@@ -217,20 +220,25 @@ class TestChunking:
     def test_n8_record_set_memory_is_bounded(self):
         from qverify.reconstruction import _shot_record_set
 
-        # (n, shots, bound on the peak in bytes): at n=8 the chunks' columns
-        # dominate; at n=2 and 3 the per-shot arrays do; at n=4 nearly every
-        # shot has a setting of its own, so the per-setting arrays weigh too
-        for n, shots, bound in (
-            (8, 20_000, 128 * 2**20),
-            (3, 200_000, 12 * 200_000),
-            (2, 160_000, 9 * 160_000),
-            (4, 200_000, 60 * 200_000),
+        # (n, depth = k, p, shots, bound on the peak in bytes): at n=8 the
+        # chunks' columns dominate; at n=2 and 3 the per-shot arrays do; at
+        # n=4 nearly every shot has a setting of its own, so the per-setting
+        # arrays weigh too; at p=0.05 about 0.45 hits per shot add their sites
+        # (9 bytes a hit) and their trajectory columns
+        for n, depth, p, shots, bound in (
+            (8, 1, 0.0, 20_000, 128 * 2**20),
+            (3, 1, 0.0, 200_000, 12 * 200_000),
+            (2, 1, 0.0, 160_000, 9 * 160_000),
+            (4, 1, 0.0, 200_000, 60 * 200_000),
+            (3, 3, 0.05, 200_000, 32 * 200_000),
         ):
-            c = random_circuit(n, 1, standard_gate_set(), 9)
-            dev = Device(DeviceProfile(n, 1, Fraction(1), c))
+            c = random_circuit(n, depth, standard_gate_set(), 9)
+            dev = Device(DeviceProfile(n, depth, Fraction(1), c), NoiseConfig(depolarizing_p=p))
             tracemalloc.start()
             try:
-                rs = _shot_record_set(dev, 1, identity_circuit(n), shots, np.random.default_rng(10))
+                rs = _shot_record_set(
+                    dev, depth, identity_circuit(n), shots, np.random.default_rng(10)
+                )
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -238,39 +246,63 @@ class TestChunking:
             assert peak < bound, f"n={n}: peak {peak / 2**20:.1f} MB, {peak / shots:.1f} B/shot"
 
 
-def per_setting_trajectories(hidden, p, prefix, k, settings, rng, ledger, undo=None):
-    """Reference: the noisy shot path that ran trajectories setting by setting.
+def per_shot_trajectories(hidden, p, prefix, k, settings, rng, ledger, undo=None):
+    """Reference: the noisy shot path one shot at a time, from the documented noise stream.
 
-    Each setting's columns take every gate, then up to three masked Pauli
-    applications per touched qubit, drawing the noise stream as they go.
+    The call's sites are the (gate, touched qubit) pairs of ``hidden[:k]``, S
+    per shot, numbered shot-major over the call's shots: site s of shot i is
+    i * S + s. The hit sites are the running sums, minus one, of geometric(p)
+    gaps drawn in blocks of int(m + 4 sqrt(m)) + 16 (m = sites * p) until a
+    running sum passes the last site; one int8 ``integers(1, 4)`` per hit then
+    picks X, Y or Z. A shot without a hit runs the noiseless circuit; a hit
+    shot runs every gate, each of its sites' Paulis right after it.
     """
     n = hidden.n
     prep, axes, counts = (settings[name].astype(np.int64) for name in ("prep", "axes", "shots"))
     noise_rng = np.random.default_rng(int(rng.integers(2**63)))
     u01 = rng.random(int(counts.sum()))
-    states = np.repeat(compose_unitary(prefix) @ _product_states(prep), counts, axis=1)
-    start = 0
-    for c in counts.tolist():
-        cols = states[:, start : start + c]
-        for layer in hidden.layers[:k]:
-            for block, gate in zip(layer.blocks, layer.gates):
-                cols = apply_unitary_array(cols, gate.matrix, block, n)
-                for q in block:
-                    hit = noise_rng.random(c) < p
-                    which = noise_rng.integers(0, 3, size=c)
-                    for pauli_idx, pauli in enumerate(PAULIS[c] for c in "XYZ"):
-                        mask = hit & (which == pauli_idx)
-                        if mask.any():
-                            cols[:, mask] = apply_unitary_array(cols[:, mask], pauli, (q,), n)
-        states[:, start : start + c] = cols if undo is None else layer_unitary(undo, n) @ cols
-        start += c
+    gates = [
+        (block, gate)
+        for layer in hidden.layers[:k]
+        for block, gate in zip(layer.blocks, layer.gates)
+    ]
+    width = sum(len(block) for block, _ in gates)
+    grid = len(u01) * width
+    hits = {}
+    if grid and p:
+        block_size = int(grid * p + 4 * math.sqrt(grid * p)) + 16
+        sites = [-1]
+        while sites[-1] < grid:
+            for gap in noise_rng.geometric(p, size=block_size).tolist():
+                sites.append(sites[-1] + gap)
+        sites = [site for site in sites[1:] if site < grid]
+        codes = noise_rng.integers(1, 4, size=len(sites), dtype=np.int8)
+        hits = {site: PAULIS["IXYZ"[code]] for site, code in zip(sites, codes)}
+    undo_u = np.eye(1 << n) if undo is None else layer_unitary(undo, n)
+    clean = undo_u @ compose_unitary(hidden, k) @ compose_unitary(prefix)
+    columns = []
+    for i, row in enumerate(np.repeat(prep, counts, axis=0)):
+        psi = reduce(np.kron, PREP_VECTORS[row])
+        if not any(i * width + s in hits for s in range(width)):
+            columns.append(clean @ psi)
+            continue
+        psi = compose_unitary(prefix) @ psi
+        site = i * width
+        for block, gate in gates:
+            psi = apply_unitary_array(psi, gate.matrix, block, n)
+            for q in block:
+                if site in hits:
+                    psi = apply_unitary_array(psi, hits[site], (q,), n)
+                site += 1
+        columns.append(undo_u @ psi)
+    states = np.stack(columns, axis=1) if columns else np.zeros((1 << n, 0), complex)
     rotated = _rotate_to_z(states, np.repeat(axes, counts, axis=0))
     ledger.add_shots(prefix.depth + k + (undo is not None), len(u01))
     return _sample(rotated, np.arange(len(u01)), u01)
 
 
 class TestBatchedTrajectories:
-    """One trajectory pass per chunk gives the per-setting loop's outcomes."""
+    """One trajectory pass per chunk gives the per-shot reference's outcomes."""
 
     @pytest.mark.parametrize("with_undo", [False, True], ids=["no-undo", "undo"])
     def test_matches_per_setting_loop(self, with_undo):
@@ -283,7 +315,7 @@ class TestBatchedTrajectories:
         ref_ledger = TimeLedger(Fraction(1))
         for seed in (25, 26):
             out = dev.execute_settings(prefix, 2, settings, np.random.default_rng(seed), undo=undo)
-            ref = per_setting_trajectories(
+            ref = per_shot_trajectories(
                 c, 0.1, prefix, 2, settings, np.random.default_rng(seed), ref_ledger, undo
             )
             assert np.array_equal(out, ref)
@@ -318,7 +350,7 @@ class TestBatchedTrajectories:
         ref_ledger = TimeLedger(Fraction(1))
         for seed in (31, 32):
             out = dev.execute_settings(prefix, k, settings, np.random.default_rng(seed), undo=undo)
-            ref = per_setting_trajectories(
+            ref = per_shot_trajectories(
                 c, p, prefix, k, settings, np.random.default_rng(seed), ref_ledger, undo
             )
             assert len(out) == settings["shots"].sum()
@@ -411,7 +443,8 @@ class TestUnitaryReuse:
         undo = Layer(((0, 1),), (builtin_gate("CNOT").dagger(),))
         _dedicated_record_set(dev, 3, prefix, 64, np.random.default_rng(37), undo)
         assert len(calls) == 9
-        assert composed == [1] * (1 if p else 2)
+        # hidden[:k] and the prefix, composed once whether or not the device is noisy
+        assert composed == [1] * 2
 
 
 class TestBlackBox:
@@ -467,6 +500,81 @@ class TestNoise:
         assert (blank_shots(clean, "XX", 2, 6000, np.random.default_rng(13)) == 0).all()
         outs = blank_shots(noisy, "XX", 2, 6000, np.random.default_rng(13))
         assert np.mean(outs != 0) > 0.1
+
+    def test_outcomes_match_depolarizing_channel(self):
+        """One noisy call's outcome frequencies follow the exact density-matrix channel."""
+        n, k, p, shots = 3, 3, 0.1, 400_000
+        gs = standard_gate_set()
+        c = random_circuit(n, 3, gs, 51)
+        # the prefix undoes hidden[:k], so without noise every shot reads
+        # 000; the noise that the gates spread makes the other outcomes
+        prefix = LayeredCircuit(n, c.layers[:k]).inverse()
+        prep, axes = (0, 0, 0), (2, 2, 2)
+        # one setting repeated over 100 rows, so the call runs in many chunks
+        settings = settings_table([prep] * 100, [axes] * 100, [shots // 100] * 100)
+        dev = Device(DeviceProfile(n, 3, Fraction(1), c), NoiseConfig(depolarizing_p=p))
+        out = dev.execute_settings(prefix, k, settings, np.random.default_rng(54))
+
+        def conjugate(rho, m, qubits):  # m rho m^dagger
+            left = apply_unitary_array(rho, m, qubits, n)
+            return apply_unitary_array(left.conj().T, m, qubits, n).conj().T
+
+        psi = compose_unitary(prefix) @ reduce(np.kron, PREP_VECTORS[list(prep)])
+        rho = np.outer(psi, psi.conj())
+        for layer in c.layers[:k]:
+            for block, gate in zip(layer.blocks, layer.gates):
+                rho = conjugate(rho, gate.matrix, block)
+                for q in block:
+                    flips = sum(conjugate(rho, PAULIS[name], (q,)) for name in "XYZ")
+                    rho = (1 - p) * rho + p / 3 * flips
+        for q, axis in enumerate(axes):
+            rho = conjugate(rho, AXIS_ROTATIONS["XYZ"[axis]], (q,))
+        expected = shots * np.real(np.diag(rho))
+        assert expected.min() > 5
+        counts = np.bincount(out, minlength=1 << n)
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        # the 0.001 critical value of chi-squared on 7 degrees of freedom
+        assert chi2 < 24.3, f"chi2 {chi2:.1f}"
+
+    @pytest.mark.parametrize("p", [0.002, 0.1, 0.9])
+    def test_hit_counts_are_binomial(self, p, monkeypatch):
+        """Every site is hit with probability p, and each hit's Pauli is uniform."""
+        import qverify.device
+
+        c = random_circuit(3, 3, standard_gate_set(), 55)
+        sites = 40_000 * 9  # every layer touches each of the 3 qubits once
+        settings = random_table(3, 40, 56)
+        settings["shots"] = 1000
+        paulis = np.array([PAULIS[name] for name in "XYZ"])
+        tally, apply = np.zeros(3, int), qverify.device._apply_per_column
+
+        def counted_apply(states, mats, q):
+            # readout rotations (H, H S^dagger, I) are no Pauli, so only noise counts
+            match = np.all(np.isclose(mats[:, None], paulis[None]), axis=(2, 3))
+            if match.any(axis=1).all():
+                tally[:] += match.sum(axis=0)
+            return apply(states, mats, q)
+
+        monkeypatch.setattr(qverify.device, "_apply_per_column", counted_apply)
+        dev = Device(DeviceProfile(3, 3, Fraction(1), c), NoiseConfig(depolarizing_p=p))
+        prefix = random_circuit(3, 1, standard_gate_set(), 57).inverse()
+        dev.execute_settings(prefix, 3, settings, np.random.default_rng(58))
+        hits = tally.sum()
+        assert abs(hits - sites * p) < 5 * math.sqrt(sites * p * (1 - p))
+        assert all(abs(tally - hits / 3) < 5 * math.sqrt(hits * 2 / 9))
+
+    def test_call_without_hits_reads_the_noiseless_columns(self):
+        c = random_circuit(3, 3, standard_gate_set(), 59)
+        prefix = random_circuit(3, 1, standard_gate_set(), 60).inverse()
+        undo = random_circuit(3, 1, standard_gate_set(), 61).layers[0]
+        settings = random_table(3, 3000, 62)
+        outs = []
+        for p in (0.0, 1e-12):  # about 7e-8 hits expected at 1e-12
+            dev = Device(DeviceProfile(3, 3, Fraction(1), c), NoiseConfig(depolarizing_p=p))
+            rng = np.random.default_rng(63)
+            outs.append(dev.execute_settings(prefix, 3, settings, rng, undo=undo))
+        assert outs[0].dtype == outs[1].dtype
+        assert np.array_equal(*outs)
 
     def test_noise_config_validation(self):
         with pytest.raises(InvalidRequest):

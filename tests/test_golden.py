@@ -14,7 +14,10 @@ digests pin the files that ``qverify reconstruct`` and the two sweeps write;
 they were computed before the sweeps and report formats left ``cli.py``. The
 report digests pin ``report.json`` and ``report.csv`` of strict reconstructions
 at n >= 3, where the gate decoder and the per-window diagnostics run on more
-than one window. No digest may be regenerated to make a change pass.
+than one window. The digests of noisy runs were computed from the sparse-hit
+noise stream, which draws each call's hit sites once, from geometric gaps,
+instead of two draws per (setting, gate, qubit); noiseless runs draw no noise
+and kept their digests. No digest may be regenerated to make a change pass.
 """
 
 import hashlib
@@ -95,12 +98,14 @@ def test_shot_record_set_digest(case):
 
 # (n, k, shots, seed, depolarizing p) -> (digest, ledger layer_count)
 NOISY_STRICT_CASES = {
+    # from the sparse-hit noise stream, which draws a call's hit sites once
     (2, 2, 40000, 17, 0.01): (
-        "0c18ad2c6affb14b68de73cee341dbbe28e8b130b5e3b7956fd8696c046bae31",
+        "d6721ec5ce93b1d1757d2b1a941ed56e2501a273ddd68526e29cf510d18fc21a",
         120000,
     ),
+    # from the sparse-hit noise stream
     (3, 3, 20000, 18, 0.01): (
-        "bdc1844b8907f79115e4175b2566b36536b31813e3d882d64a3ae626de6c1787",
+        "b4758efb3c57997ed40c761feb2df8a5ccc9833e0f5cf7cdb0f0d607d4eba279",
         100000,
     ),
 }
@@ -145,12 +150,14 @@ DEDICATED_CASES = {
         "829c4ef7cfba600c8d13666cac8b3376a7aef83fc93bbe87f7940c54e06e835d",
         10800,
     ),
+    # from the sparse-hit noise stream, which draws a call's hit sites once
     (0.002, False): (
-        "3ce54714d4e7466538a082be6caebd3aebee7e10e65ffacefe030481221d70f8",
+        "1cb7e67fbf5138901ff27e7a495f033ce8cdb467e48dcd81b86f135fc9216f7c",
         8100,
     ),
+    # from the sparse-hit noise stream
     (0.002, True): (
-        "144f5f451e0c756e2f8d9c8dd28e7bdabeb8584b05b493a896bbed8399e58516",
+        "2e696c13c440dcaeeb879aeef3c7367eaa8698517a802aedfc3f3e03dfd39f71",
         10800,
     ),
 }
@@ -171,8 +178,10 @@ def test_dedicated_record_set_digest(case):
 DEDICATED_ESTIMATES = {
     (0.0, False): "ff4941d5f6d2ab4893fbf2577e09e5752db0dca76933347cd8aed75a30b8f088",
     (0.0, True): "8009a2b3da4ee3561a9cdcb75a30b2f09cff37d0477c812aa0eacf217fc9e286",
-    (0.002, False): "a163eac5b40f955fb9da66a34fa52d0f081b0f35e12c31dd77dcc10fafcbff34",
-    (0.002, True): "c53513e49e199e0d5199614e202af89c650b041c9738ccc0c74e161c3d13160f",
+    # from the sparse-hit noise stream, as the record digests above
+    (0.002, False): "af7999cf0c504e188a9f46451f179e4542570d2e4e7c5db602f61c64f9ddba7b",
+    # from the sparse-hit noise stream
+    (0.002, True): "85d50cf6d0b408a438312e1809e89a2a12cfb8246d7427b184dd970cf9f86755",
 }
 
 
@@ -194,14 +203,15 @@ def _data_file(name: str) -> str:
 
 # command -> {written file: sha256 of its bytes}. The hardware-d3 reports were
 # computed from the certified hardware mode, which decodes the nine dedicated
-# settings' pair windows with the strict decoder and runs no undo round.
+# settings' pair windows with the strict decoder and runs no undo round, on
+# the sparse-hit noise stream; the reconstructed circuit predates that stream.
 CLI_CASES = {
     "hardware-d3": (
         ["reconstruct", "--circuit", _data_file("demo_d3.json"), "--noise-p", "0.002",
          "--shots", "2048", "--seed", "4"],
         {
-            "report.json": "12117ecf9dc64798a2e7f082ab67af0c122ea01c578be5a72611c777d9bb9755",
-            "report.csv": "e8ae8a533216129f306ef380f625479d74ed0abea1942578ca340ca34960aa11",
+            "report.json": "57af1bc861082896a5bde32c82780534e5944f019975b4a50642c7e122716850",
+            "report.csv": "df8ad6d81ce246c5fe2ca14ca2c956ab84395bb0ba4a21d73c7111646ad4f94c",
             "reconstructed_circuit.json":
                 "0698597f8d3249507142e43ef8c3b0b5b96aac426b3b2867a89c192c013c4090",
         },
@@ -271,9 +281,10 @@ REPORT_CASES = {
         "e829c837f38ae84ae749bcc0939da4fcc7864dcf625da8d0c3ac74a95c0dcffd",
         "0b756f8fc83438c23e4ebb71f1e816d0f7763de39d2bcce71aa7e25567edf3eb",
     ),
+    # from the sparse-hit noise stream, which draws a call's hit sites once
     (3, "strict", 20000, 0.01, 34): (
-        "d218c9ff95a6f118131430148b228dbf94bc5f97f08dbc502cf7704f6bf082b9",
-        "4a298c7a69de8945db068f95aaff6a6d1d255dad8e124e2260c0238d8026c7ce",
+        "5ea6f53860d5565223ef23aec1be431b080344cc64b1897a70e7ff221e31858c",
+        "93a6b80247902880593fa9e8b18f52d9cf5c0f5d0a4bddaee186ffb4509f2eb5",
     ),
     (2, "strict", 2500, 0.0, 1): (
         "a6497d17fc621d6ce8f5bc4a12d6982dcfe8b8a203eda2fc74ac9767e6f737d3",
