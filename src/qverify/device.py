@@ -10,16 +10,16 @@ j-layer prefix interrupted at layer k costs (j + k) * t.
 Settings arrive as one structured table (see :func:`settings_table`): per row,
 a preparation code 0-7 into :data:`PREP_SEQUENCES` and a readout-axis code
 0-2 (X, Y, Z) for every qubit, and a shot count. Each call builds the circuit
-unitary once (and reuses it while consecutive calls repeat the same prefix,
-``k`` and undo), then prepares, evolves, rotates and samples the settings in
+unitary once, then prepares, evolves, rotates and samples the settings in
 chunks of whole settings, at most :data:`CHUNK_SETTINGS` rows and, unless one
 setting alone has more, :data:`CHUNK_SHOTS` shots (inverse CDF on one uniform
 draw per shot). Chunking does not change which uniform draw a shot reads.
+Nothing carries over from one call to the next but the ledger.
 
 Depolarizing noise is simulated with stochastic pure-state trajectories: after
 each gate of the hidden circuit, every touched qubit independently suffers a
-uniformly random non-identity Pauli with the configured probability. Prefix,
-preparation and undo gates are exact. Each call draws its noise once, as a
+uniformly random non-identity Pauli with the configured probability. Prefix
+and preparation gates are exact. Each call draws its noise once, as a
 sparse list of the (shot, gate, qubit) sites that are hit. A shot with no hit
 reads its setting's noiseless column, the one a noiseless device gives it;
 only a hit shot runs the hidden gates one by one as a trajectory.
@@ -31,11 +31,12 @@ uniform draw and column number (8 bytes each), its outcome in the smallest
 unsigned type and, one CDF edge at a time, a float and a bool to compare; each
 chunk draws only its own uniforms. Across the call, the one per-shot array is
 the outcome array it returns, in the smallest unsigned type that holds 2^n - 1
-(uint8 up to n = 8). The noise list holds 9 bytes per hit (an int64 site and
-an int8 Pauli code), about p x sites x shots of them, and nothing per site
-that is not hit. The settings table is read and checked in its own integer
-types, never copied; per setting the call adds only the running shot total, in
-the smallest unsigned type that holds the shot count.
+(uint8 up to n = 8). The noise list holds 5 bytes per hit (an int32 site and
+an int8 Pauli code; 9 bytes once a call has 2^31 sites or more), about
+p x sites x shots of them, and nothing per site that is not hit. The settings
+table is read and checked in its own integer types, never copied; per setting
+the call adds only the running shot total, in the smallest unsigned type that
+holds the shot count.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .circuits import Layer, LayeredCircuit, choi_state, compose_unitary, layer_unitary
+from .circuits import LayeredCircuit, choi_state, compose_unitary
 from .core import AXES, AXIS_ROTATIONS, BUILTIN_MATRICES, PAULIS, StateVec, apply_unitary_array
 from .errors import InvalidRequest
 
@@ -162,17 +163,14 @@ class Device:
         self.d = profile.d
         self.t = Fraction(profile.t)
         self.ledger = TimeLedger(t=self.t)
-        self._last_unitaries = None
 
     # -- request validation -----------------------------------------------------
 
-    def _check_circuit(self, inverse_prefix: LayeredCircuit, k: int, undo: Layer | None) -> None:
+    def _check_circuit(self, inverse_prefix: LayeredCircuit, k: int) -> None:
         if inverse_prefix.n != self.n:
             raise InvalidRequest("inverse prefix acts on the wrong qubit count")
         if not (0 <= k <= self.d):
             raise InvalidRequest(f"interrupt_at={k} outside [0, {self.d}]")
-        if undo is not None and undo.qubits() != set(range(self.n)):
-            raise InvalidRequest(f"undo layer covers {sorted(undo.qubits())}, not 0..{self.n - 1}")
 
     def _setting_codes(self, settings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Validated (settings, n) prep and readout-axis codes, and shot counts.
@@ -193,31 +191,13 @@ class Device:
             raise InvalidRequest(f"negative shot count {counts.min()}")
         return prep, axes, counts
 
-    def _unitaries(self, inverse_prefix: LayeredCircuit, k: int, undo: Layer | None = None):
-        """``(u, prefix_u, undo_u)``: the noiseless circuit and its outer factors.
+    def _unitaries(self, inverse_prefix: LayeredCircuit, k: int):
+        """``(u, prefix_u)``: the noiseless ``hidden[:k] . inverse_prefix`` and its prefix.
 
-        ``u`` is ``[undo] . hidden[:k] . inverse_prefix``; ``prefix_u`` and
-        ``undo_u`` (None without an undo) are the factors a hit shot runs
-        around its trajectory.
+        A hit shot runs ``prefix_u`` before its trajectory through ``hidden[:k]``.
         """
         prefix_u = compose_unitary(inverse_prefix)
-        undo_u = None if undo is None else layer_unitary(undo, self.n)
-        u = compose_unitary(self._hidden, k) @ prefix_u
-        return (u if undo_u is None else undo_u @ u), prefix_u, undo_u
-
-    def _call_unitaries(self, inverse_prefix: LayeredCircuit, k: int, undo: Layer | None):
-        """:meth:`_unitaries` of a call, built once for consecutive calls that repeat it.
-
-        One entry is kept. Its key is the identity of ``inverse_prefix`` and
-        ``undo`` plus the value of ``k``, so a call passing the same two
-        objects and the same ``k`` as the call before it reuses the entry.
-        Identity is sound because both are frozen and the entry holds them.
-        """
-        last = self._last_unitaries
-        if last is None or last[0] is not inverse_prefix or last[1] != k or last[2] is not undo:
-            unitaries = self._unitaries(inverse_prefix, k, undo)
-            last = self._last_unitaries = (inverse_prefix, k, undo, unitaries)
-        return last[3]
+        return compose_unitary(self._hidden, k) @ prefix_u, prefix_u
 
     # -- execution -------------------------------------------------------------
 
@@ -227,9 +207,8 @@ class Device:
         k: int,
         settings: np.ndarray,
         rng,
-        undo: Layer | None = None,
     ) -> np.ndarray:
-        """Run a :func:`settings_table` of settings sharing prefix, ``k`` and undo.
+        """Run a :func:`settings_table` of settings behind one prefix, interrupted at ``k``.
 
         Every setting is validated before any unitary, draw or ledger entry:
         the table's fields, its row width n, the code ranges and ``shots >= 0``,
@@ -251,15 +230,16 @@ class Device:
         :func:`_hit_sites` draws which of them are hit and with which Pauli,
         and each chunk takes its slice of that list, so chunk bounds change no
         draw. A chunk evolves one column per setting through :meth:`_unitaries`
-        and runs one trajectory column per shot that drew a hit.
+        and runs one trajectory column per shot that drew a hit. Each shot
+        adds ``inverse_prefix.depth + k`` layers to the ledger.
         """
-        self._check_circuit(inverse_prefix, k, undo)
+        self._check_circuit(inverse_prefix, k)
         prep, axes, counts = self._setting_codes(settings)
         rng = np.random.default_rng(rng)
         noise_rng = np.random.default_rng(int(rng.integers(2**63)))
         total = int(counts.sum())
         draws = np.empty(total, dtype=np.min_scalar_type((1 << self.n) - 1))
-        u, prefix_u, undo_u = self._call_unitaries(inverse_prefix, k, undo)
+        u, prefix_u = self._unitaries(inverse_prefix, k)
         width = sum(len(block) for layer in self._hidden.layers[:k] for block in layer.blocks)
         hits, paulis = _hit_sites(noise_rng, total * width, self._noise.depolarizing_p)
         ends = np.cumsum(counts, dtype=np.min_scalar_type(total))
@@ -277,16 +257,15 @@ class Device:
             i, j = np.searchsorted(hits, (lo * width, hi * width))
             if i < j:  # the chunk's hit shots run as trajectories
                 states, columns, owners = self._trajectories(
-                    states, columns, prep[a:b], hits[i:j] - lo * width, paulis[i:j], k,
-                    prefix_u, undo_u,
+                    states, columns, prep[a:b], hits[i:j] - lo * width, paulis[i:j], k, prefix_u
                 )
                 chunk_axes = chunk_axes[owners]
             draws[lo:hi] = _sample(_rotate_to_z(states, chunk_axes), columns, rng.random(hi - lo))
             a, lo = b, hi
-        self.ledger.add_shots(inverse_prefix.depth + k + (undo is not None), len(draws))
+        self.ledger.add_shots(inverse_prefix.depth + k, len(draws))
         return draws
 
-    def _trajectories(self, states, columns, prep, sites, paulis, k, prefix_u, undo_u):
+    def _trajectories(self, states, columns, prep, sites, paulis, k, prefix_u):
         """Add a trajectory column for each shot of a chunk that drew a hit.
 
         ``states`` holds the noiseless column of each of the chunk's settings,
@@ -296,8 +275,7 @@ class Device:
         ``paulis`` (1-3 for X, Y, Z). A hit shot's column starts as
         ``prefix_u`` times its product state; each gate of ``hidden[:k]`` is
         applied to every such column, each of the gate's sites' Paulis right
-        after it to the hit columns, and then ``undo_u`` (None without an
-        undo) to every column.
+        after it to the hit columns.
 
         Returns ``(states, columns, owners)``: the settings' columns followed
         by the trajectory columns, the column each shot reads, and the setting
@@ -322,14 +300,13 @@ class Device:
                     hit = hit_column[at]
                     cols[:, hit] = _apply_per_column(cols[:, hit], _NOISE_PAULIS[paulis[at]], q)
                 s += 1
-        cols = cols if undo_u is None else undo_u @ cols
         return np.hstack((states, cols)), columns, owners
 
     # -- infinite-shot oracle ----------------------------------------------------
 
     def ideal_choi_state(self, inverse_prefix: LayeredCircuit, k: int) -> StateVec:
         """Choi state of prefix-then-first-k-layers, noiselessly (2n qubits)."""
-        self._check_circuit(inverse_prefix, k, None)
+        self._check_circuit(inverse_prefix, k)
         return choi_state(self._unitaries(inverse_prefix, k)[0], self.n)
 
 
@@ -341,11 +318,13 @@ def _hit_sites(rng, grid: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     ``rng.geometric(p)`` gaps, drawn in blocks of ``int(m + 4 * sqrt(m)) + 16``
     gaps (m = grid * p) until a site lands at ``grid`` or beyond; then
     ``rng.integers(1, 4, size=hits, dtype=np.int8)`` picks each hit's Pauli
-    code (1-3 for X, Y, Z). Returns the sorted int64 sites and their int8
-    codes; nothing is drawn when p or the grid is 0.
+    code (1-3 for X, Y, Z). Returns the sorted sites, int32 when the grid is
+    below 2^31 and int64 otherwise, and their int8 codes; nothing is drawn
+    when p or the grid is 0.
     """
+    dtype = np.int32 if grid < 2**31 else np.int64
     if p == 0.0 or grid == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int8)
+        return np.empty(0, dtype), np.empty(0, np.int8)
     mean = grid * p
     block = int(mean + 4 * math.sqrt(mean)) + 16
     parts, last = [], -1
@@ -354,9 +333,9 @@ def _hit_sites(rng, grid: int, p: float) -> tuple[np.ndarray, np.ndarray]:
         np.cumsum(gaps, out=gaps)
         gaps += last
         last = int(gaps[-1])
-        parts.append(gaps)
+        # cut at the grid before the cast, so no site wraps
+        parts.append(gaps[: np.searchsorted(gaps, grid)].astype(dtype))
     sites = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    sites = sites[: np.searchsorted(sites, grid)]
     return sites, rng.integers(1, 4, size=len(sites), dtype=np.int8)
 
 

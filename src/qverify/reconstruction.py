@@ -17,12 +17,12 @@ ancilla basis and outcomes), runs the learned-inverse prefix plus the hidden
 circuit up to the target layer, and measures a uniformly random Pauli basis.
 Hardware mode runs the nine dedicated settings of the two-qubit experiment,
 one principal axis and one ancilla axis on every qubit at once, with
-``shots`` shots each; a window's strings with two different principal axes,
-or two different ancilla axes, are never measured, so those boxes stay
-unbounded. strict-exact reads the infinite-shot oracle's windows with
-zero-width boxes. :func:`match_two_qubit`, the older trace-distance rule
-within a tolerance ``eps``, is kept as a library function; no learning mode
-calls it.
+``shots`` shots each, all nine in one device call per layer; a window's
+strings with two different principal axes, or two different ancilla axes,
+are never measured, so those boxes stay unbounded. strict-exact reads the
+infinite-shot oracle's windows with zero-width boxes. :func:`match_two_qubit`,
+the older trace-distance rule within a tolerance ``eps``, is kept as a library
+function; no learning mode calls it.
 """
 
 from __future__ import annotations
@@ -266,7 +266,7 @@ def _index_bits(indices: np.ndarray, n: int) -> np.ndarray:
     return bits
 
 
-def _run_settings(device: Device, k: int, prefix: LayeredCircuit, rows, counts, rng, undo=None):
+def _run_settings(device: Device, k: int, prefix: LayeredCircuit, rows, counts, rng):
     """Run ``counts[i]`` shots of the setting whose record digits are row i of ``rows``.
 
     Rows are as :meth:`RecordSet.from_settings` takes them: n principal
@@ -275,7 +275,7 @@ def _run_settings(device: Device, k: int, prefix: LayeredCircuit, rows, counts, 
     """
     n = device.n
     settings = settings_table(_ANCILLA_PREP[rows[:, n:]], rows[:, :n] >> 1, counts)
-    return device.execute_settings(prefix, k, settings, rng, undo=undo)
+    return device.execute_settings(prefix, k, settings, rng)
 
 
 # Shots whose setting digits are drawn at a time: the draw buffer stays at
@@ -329,32 +329,33 @@ def _shot_record_set(
 
 
 def _dedicated_record_set(
-    device: Device,
-    k: int,
-    prefix: LayeredCircuit,
-    shots_per_setting: int,
-    rng,
-    undo: Layer | None,
+    device: Device, k: int, prefix: LayeredCircuit, shots_per_setting: int, rng
 ) -> RecordSet:
     """One tomography round with the nine dedicated (principal, ancilla) settings.
 
-    No learning mode passes an ``undo`` layer; the golden record digests still
-    pin that path.
+    Rounds run in (principal axis, ancilla axis) order, both over X, Y, Z.
+    Draw order: every round's ancilla outcome bits at once, as one int8
+    ``(9, shots_per_setting, n)`` draw, then the measurement randomness of one
+    device call that runs all nine rounds. Shots of a round sharing ancilla
+    bits are executed together; rows run round by round, ascending in the
+    ancilla bits (qubit 0 most significant).
     """
     n = device.n
     rng = np.random.default_rng(rng)
-    rows, counts = [], []
-    outcomes = np.empty((9, shots_per_setting), dtype=np.min_scalar_type((1 << n) - 1))
-    for round_outcomes, (p_ax, a_ax) in zip(outcomes, product(range(3), range(3))):
-        anc_outs01 = rng.integers(0, 2, size=(shots_per_setting, n))
-        # qubit 0 as the most significant bit keeps np.unique's row order
-        count = np.bincount(anc_outs01 @ (1 << np.arange(n - 1, -1, -1)), minlength=1 << n)
-        present = np.flatnonzero(count)
-        principal = np.full((len(present), n), 2 * p_ax, dtype=np.int8)
-        rows.append(np.hstack([principal, 2 * a_ax + _index_bits(present, n)]))
-        counts.append(count[present])
-        round_outcomes[:] = _run_settings(device, k, prefix, rows[-1], counts[-1], rng, undo)
-    return RecordSet.from_settings(n, np.vstack(rows), np.concatenate(counts), outcomes.ravel())
+    weights = 1 << np.arange(n - 1, -1, -1)
+    # the bits are binned and dropped before the device call
+    count = np.array([
+        np.bincount(bits @ weights, minlength=1 << n)
+        for bits in rng.integers(0, 2, size=(9, shots_per_setting, n), dtype=np.int8)
+    ])
+    rounds, present = np.nonzero(count)
+    p_ax, a_ax = np.divmod(rounds, 3)
+    rows = np.empty((len(rounds), 2 * n), dtype=np.int8)
+    rows[:, :n] = 2 * p_ax[:, None]
+    rows[:, n:] = 2 * a_ax[:, None] + _index_bits(present, n)
+    counts = count[rounds, present]
+    outcomes = _run_settings(device, k, prefix, rows, counts, rng)
+    return RecordSet.from_settings(n, rows, counts, outcomes)
 
 
 def _window_estimates(
@@ -373,7 +374,7 @@ def _window_estimates(
     if mode == "strict":
         rs = _shot_record_set(device, k, prefix, shots, rng)
     else:
-        rs = _dedicated_record_set(device, k, prefix, shots, rng, undo=None)
+        rs = _dedicated_record_set(device, k, prefix, shots, rng)
     return [estimate_window(rs, subset) for subset in windows]
 
 

@@ -13,7 +13,6 @@ from qverify.circuits import (
     choi_state,
     compose_unitary,
     identity_circuit,
-    layer_unitary,
     random_circuit,
 )
 from qverify.core import (
@@ -56,11 +55,11 @@ def axis_codes(axes):
     return [["XYZ".index(a) for a in axes]]
 
 
-def blank_shots(dev, axes, k, shots, rng, prefix=None, undo=None):
+def blank_shots(dev, axes, k, shots, rng, prefix=None):
     """Indices of the outcomes of ``shots`` unprepared shots read out along ``axes``."""
     prefix = identity_circuit(dev.n) if prefix is None else prefix
     setting = settings_table(np.zeros((1, dev.n), dtype=int), axis_codes(axes), [shots])
-    return dev.execute_settings(prefix, k, setting, rng, undo=undo)
+    return dev.execute_settings(prefix, k, setting, rng)
 
 
 class TestExecuteShot:
@@ -82,12 +81,6 @@ class TestExecuteShot:
         prefix = random_circuit(2, 2, standard_gate_set(), 5)
         blank_shots(dev, "ZZ", 3, 1, np.random.default_rng(2), prefix=prefix)
         assert dev.ledger.total_time == 5 * dev.t
-
-    def test_undo_layer_costs_one_unit(self):
-        dev, _ = demo_device(1)
-        undo = Layer(((0, 1),), (builtin_gate("CNOT"),))
-        blank_shots(dev, "ZZ", 1, 1, np.random.default_rng(3), undo=undo)
-        assert dev.ledger.total_time == 2 * dev.t
 
     def test_request_validation(self):
         dev, _ = demo_device(1)
@@ -142,8 +135,6 @@ class TestExecuteSettingsValidation:
         "float codes": dict(settings=table(prep=((0.0, 0.0), (0.0, 0.0)))),
         "list of tuples": dict(settings=[(((), ()), ("Z", "Z"), 4)]),
         "two-dimensional table": dict(settings=table().reshape(1, 2)),
-        "undo off the line": dict(undo=Layer(((0, 5),), (builtin_gate("CNOT"),))),
-        "undo leaves a qubit out": dict(undo=Layer(((0,),), (builtin_gate("H"),))),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -154,15 +145,12 @@ class TestExecuteSettingsValidation:
             raise AssertionError("unitary built before validation finished")
 
         monkeypatch.setattr("qverify.device.compose_unitary", no_unitary)
-        monkeypatch.setattr("qverify.device.layer_unitary", no_unitary)
-        call = dict(prefix=identity_circuit(2), k=1, settings=table(), undo=None)
+        call = dict(prefix=identity_circuit(2), k=1, settings=table())
         call.update(self.CASES[case])
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
         with pytest.raises(InvalidRequest):
-            dev.execute_settings(
-                call["prefix"], call["k"], call["settings"], rng, undo=call["undo"]
-            )
+            dev.execute_settings(call["prefix"], call["k"], call["settings"], rng)
         assert rng.bit_generator.state == state
         assert dev.ledger.layer_count == 0
         assert dev.ledger.per_shot_layers == {}
@@ -223,14 +211,16 @@ class TestChunking:
         # (n, depth = k, p, shots, bound on the peak in bytes): at n=8 the
         # chunks' columns dominate; at n=2 and 3 the per-shot arrays do; at
         # n=4 nearly every shot has a setting of its own, so the per-setting
-        # arrays weigh too; at p=0.05 about 0.45 hits per shot add their sites
-        # (9 bytes a hit) and their trajectory columns
+        # arrays weigh too; at p=0.05 about 0.45 hits per shot, and at p=0.5
+        # about 4.5, add their sites (5 bytes a hit: an int32 site and an int8
+        # Pauli code) and their trajectory columns
         for n, depth, p, shots, bound in (
             (8, 1, 0.0, 20_000, 128 * 2**20),
             (3, 1, 0.0, 200_000, 12 * 200_000),
             (2, 1, 0.0, 160_000, 9 * 160_000),
             (4, 1, 0.0, 200_000, 60 * 200_000),
             (3, 3, 0.05, 200_000, 32 * 200_000),
+            (3, 3, 0.5, 200_000, 80 * 200_000),
         ):
             c = random_circuit(n, depth, standard_gate_set(), 9)
             dev = Device(DeviceProfile(n, depth, Fraction(1), c), NoiseConfig(depolarizing_p=p))
@@ -246,7 +236,7 @@ class TestChunking:
             assert peak < bound, f"n={n}: peak {peak / 2**20:.1f} MB, {peak / shots:.1f} B/shot"
 
 
-def per_shot_trajectories(hidden, p, prefix, k, settings, rng, ledger, undo=None):
+def per_shot_trajectories(hidden, p, prefix, k, settings, rng, ledger):
     """Reference: the noisy shot path one shot at a time, from the documented noise stream.
 
     The call's sites are the (gate, touched qubit) pairs of ``hidden[:k]``, S
@@ -278,8 +268,7 @@ def per_shot_trajectories(hidden, p, prefix, k, settings, rng, ledger, undo=None
         sites = [site for site in sites[1:] if site < grid]
         codes = noise_rng.integers(1, 4, size=len(sites), dtype=np.int8)
         hits = {site: PAULIS["IXYZ"[code]] for site, code in zip(sites, codes)}
-    undo_u = np.eye(1 << n) if undo is None else layer_unitary(undo, n)
-    clean = undo_u @ compose_unitary(hidden, k) @ compose_unitary(prefix)
+    clean = compose_unitary(hidden, k) @ compose_unitary(prefix)
     columns = []
     for i, row in enumerate(np.repeat(prep, counts, axis=0)):
         psi = reduce(np.kron, PREP_VECTORS[row])
@@ -294,43 +283,40 @@ def per_shot_trajectories(hidden, p, prefix, k, settings, rng, ledger, undo=None
                 if site in hits:
                     psi = apply_unitary_array(psi, hits[site], (q,), n)
                 site += 1
-        columns.append(undo_u @ psi)
+        columns.append(psi)
     states = np.stack(columns, axis=1) if columns else np.zeros((1 << n, 0), complex)
     rotated = _rotate_to_z(states, np.repeat(axes, counts, axis=0))
-    ledger.add_shots(prefix.depth + k + (undo is not None), len(u01))
+    ledger.add_shots(prefix.depth + k, len(u01))
     return _sample(rotated, np.arange(len(u01)), u01)
 
 
 class TestBatchedTrajectories:
     """One trajectory pass per chunk gives the per-shot reference's outcomes."""
 
-    @pytest.mark.parametrize("with_undo", [False, True], ids=["no-undo", "undo"])
-    def test_matches_per_setting_loop(self, with_undo):
+    def test_matches_per_setting_loop(self):
         c = random_circuit(3, 3, standard_gate_set(), 21)
         prefix = random_circuit(3, 1, standard_gate_set(), 22).inverse()
-        undo = random_circuit(3, 1, standard_gate_set(), 23).layers[0] if with_undo else None
         settings = random_table(3, 60, 24)
         noise = NoiseConfig(depolarizing_p=0.1)
         dev = Device(DeviceProfile(3, 3, Fraction(1), c), noise)
         ref_ledger = TimeLedger(Fraction(1))
         for seed in (25, 26):
-            out = dev.execute_settings(prefix, 2, settings, np.random.default_rng(seed), undo=undo)
+            out = dev.execute_settings(prefix, 2, settings, np.random.default_rng(seed))
             ref = per_shot_trajectories(
-                c, 0.1, prefix, 2, settings, np.random.default_rng(seed), ref_ledger, undo
+                c, 0.1, prefix, 2, settings, np.random.default_rng(seed), ref_ledger
             )
             assert np.array_equal(out, ref)
         assert dev.ledger == ref_ledger
         clean = Device(DeviceProfile(3, 3, Fraction(1), c))
-        clean_out = clean.execute_settings(prefix, 2, settings, np.random.default_rng(26), undo=undo)
+        clean_out = clean.execute_settings(prefix, 2, settings, np.random.default_rng(26))
         assert not np.array_equal(out, clean_out)
 
-    @pytest.mark.parametrize("case", ["nearly every shot hit", "zero-shot rows", "k=0 with undo"])
+    @pytest.mark.parametrize("case", ["nearly every shot hit", "zero-shot rows", "k=0"])
     def test_distinct_trajectories_match_per_setting_loop(self, case, monkeypatch):
         import qverify.device
 
         c = random_circuit(3, 3, standard_gate_set(), 27)
         prefix = random_circuit(3, 1, standard_gate_set(), 28).inverse()
-        undo = random_circuit(3, 1, standard_gate_set(), 29).layers[0]
         settings = random_table(3, 40, 30)
         p, k = 0.1, 2
         if case == "nearly every shot hit":
@@ -349,9 +335,9 @@ class TestBatchedTrajectories:
         dev = Device(DeviceProfile(3, 3, Fraction(1), c), NoiseConfig(depolarizing_p=p))
         ref_ledger = TimeLedger(Fraction(1))
         for seed in (31, 32):
-            out = dev.execute_settings(prefix, k, settings, np.random.default_rng(seed), undo=undo)
+            out = dev.execute_settings(prefix, k, settings, np.random.default_rng(seed))
             ref = per_shot_trajectories(
-                c, p, prefix, k, settings, np.random.default_rng(seed), ref_ledger, undo
+                c, p, prefix, k, settings, np.random.default_rng(seed), ref_ledger
             )
             assert len(out) == settings["shots"].sum()
             assert np.array_equal(out, ref)
@@ -360,7 +346,7 @@ class TestBatchedTrajectories:
         extra = {w - len(settings) for w in widths}
         if case == "nearly every shot hit":
             assert min(extra) > 0.99 * settings["shots"].sum()
-        elif case == "k=0 with undo":
+        elif case == "k=0":
             assert extra == {0}
 
     def test_n8_noisy_call_memory_is_bounded(self):
@@ -384,7 +370,7 @@ class TestBatchedTrajectories:
 
 
 class TestUnitaryReuse:
-    """Consecutive calls with the same prefix, k and undo share one composed unitary."""
+    """A device keeps no state between calls but its ledger."""
 
     @pytest.mark.parametrize("p", [0.0, 0.1])
     def test_reused_unitary_is_never_stale(self, p):
@@ -392,31 +378,28 @@ class TestUnitaryReuse:
         gs = standard_gate_set()
         prefix_a = random_circuit(3, 1, gs, 32).inverse()
         prefix_b = random_circuit(3, 1, gs, 33).inverse()
-        undo_a, undo_b = (random_circuit(3, 1, gs, seed).layers[0] for seed in (34, 35))
         settings = random_table(3, 40, 36)
 
         def device():
             return Device(DeviceProfile(3, 3, Fraction(1), c), NoiseConfig(depolarizing_p=p))
 
         shared = device()
-        calls = [
-            (prefix_a, 2, undo_a),
-            (prefix_b, 2, undo_a),
-            (prefix_a, 2, undo_a),
-            (prefix_a, 2, undo_b),
-            (prefix_a, 1, undo_b),
-            (prefix_a, 1, None),
-        ]
-        for seed, (prefix, k, undo) in enumerate(calls):
-            out = shared.execute_settings(prefix, k, settings, np.random.default_rng(seed), undo=undo)
-            fresh = device().execute_settings(
-                prefix, k, settings, np.random.default_rng(seed), undo=undo
-            )
+        before = dict(vars(shared))
+        calls = [(prefix_a, 2), (prefix_b, 2), (prefix_a, 2), (prefix_a, 2), (prefix_a, 1)]
+        for seed, (prefix, k) in enumerate(calls):
+            out = shared.execute_settings(prefix, k, settings, np.random.default_rng(seed))
+            fresh = device().execute_settings(prefix, k, settings, np.random.default_rng(seed))
             assert np.array_equal(out, fresh)
-        # every call differs from the call before it, so a stale unitary shows
+        # the calls added to the ledger and changed nothing else on the device
+        assert vars(shared).keys() == before.keys()
+        assert all(vars(shared)[name] is value for name, value in before.items())
+        assert shared.ledger.per_shot_layers == {3: 4 * settings["shots"].sum(),
+                                                 2: settings["shots"].sum()}
+        # consecutive calls that differ give different outcomes at one seed
+        distinct = [calls[0], calls[1], calls[2], calls[4]]
         same_seed = [
-            device().execute_settings(prefix, k, settings, np.random.default_rng(0), undo=undo)
-            for prefix, k, undo in calls
+            device().execute_settings(prefix, k, settings, np.random.default_rng(0))
+            for prefix, k in distinct
         ]
         assert all(not np.array_equal(x, y) for x, y in zip(same_seed, same_seed[1:]))
 
@@ -440,10 +423,10 @@ class TestUnitaryReuse:
         monkeypatch.setattr(Device, "execute_settings", counted_execute)
         dev, c = demo_device(3, NoiseConfig(depolarizing_p=p))
         prefix = LayeredCircuit(2, c.layers[:2]).inverse()
-        undo = Layer(((0, 1),), (builtin_gate("CNOT").dagger(),))
-        _dedicated_record_set(dev, 3, prefix, 64, np.random.default_rng(37), undo)
-        assert len(calls) == 9
-        # hidden[:k] and the prefix, composed once whether or not the device is noisy
+        _dedicated_record_set(dev, 3, prefix, 64, np.random.default_rng(37))
+        # the nine rounds run as one call, which composes hidden[:k] and the
+        # prefix once whether or not the device is noisy
+        assert len(calls) == 1
         assert composed == [1] * 2
 
 
@@ -566,13 +549,12 @@ class TestNoise:
     def test_call_without_hits_reads_the_noiseless_columns(self):
         c = random_circuit(3, 3, standard_gate_set(), 59)
         prefix = random_circuit(3, 1, standard_gate_set(), 60).inverse()
-        undo = random_circuit(3, 1, standard_gate_set(), 61).layers[0]
         settings = random_table(3, 3000, 62)
         outs = []
         for p in (0.0, 1e-12):  # about 7e-8 hits expected at 1e-12
             dev = Device(DeviceProfile(3, 3, Fraction(1), c), NoiseConfig(depolarizing_p=p))
             rng = np.random.default_rng(63)
-            outs.append(dev.execute_settings(prefix, 3, settings, rng, undo=undo))
+            outs.append(dev.execute_settings(prefix, 3, settings, rng))
         assert outs[0].dtype == outs[1].dtype
         assert np.array_equal(*outs)
 

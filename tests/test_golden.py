@@ -29,11 +29,11 @@ import numpy as np
 import pytest
 
 from qverify.benchmarks import demo_circuit
-from qverify.circuits import Layer, LayeredCircuit, random_circuit, same_circuit
+from qverify.circuits import LayeredCircuit, random_circuit, same_circuit
 from qverify.cli import main
 from qverify.device import Device, DeviceProfile, NoiseConfig
 from qverify.errors import NoMatch
-from qverify.gates import builtin_gate, standard_gate_set
+from qverify.gates import standard_gate_set
 from qverify.reconstruction import _dedicated_record_set, _shot_record_set, learn_multi
 from qverify.tomography import estimate_window, pair_windows
 
@@ -140,59 +140,44 @@ def test_pair_window_estimate_digest(case):
     assert _estimate_digest(estimates) == STRICT_ESTIMATES[case]
 
 
-# (p, with undo) -> (digest, ledger layer_count)
+# p -> (digest, ledger layer_count), from the one-call round, which draws
+# every round's ancilla bits at once and runs the nine settings in one device
+# call, on the sparse-hit noise stream
 DEDICATED_CASES = {
-    (0.0, False): (
-        "62837652418dbc9abf4c7df7ea9223a926edba6a294068dd3e783eef49e50f3a",
+    0.0: (
+        "33685b47606d1cb2f919e07e9eb66caeef2a80dfc4f513d92c5f3fd2a040199a",
         8100,
     ),
-    (0.0, True): (
-        "829c4ef7cfba600c8d13666cac8b3376a7aef83fc93bbe87f7940c54e06e835d",
-        10800,
-    ),
-    # from the sparse-hit noise stream, which draws a call's hit sites once
-    (0.002, False): (
-        "1cb7e67fbf5138901ff27e7a495f033ce8cdb467e48dcd81b86f135fc9216f7c",
+    0.002: (
+        "5a391d7845300a154d06bcaa05f664c6e062008074df8f341502e2c600124da6",
         8100,
-    ),
-    # from the sparse-hit noise stream
-    (0.002, True): (
-        "2e696c13c440dcaeeb879aeef3c7367eaa8698517a802aedfc3f3e03dfd39f71",
-        10800,
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(DEDICATED_CASES))
 def test_dedicated_record_set_digest(case):
-    p, with_undo = case
     c = demo_circuit(2)
-    dev = Device(DeviceProfile(2, c.depth, Fraction(1), c), NoiseConfig(depolarizing_p=p))
+    dev = Device(DeviceProfile(2, c.depth, Fraction(1), c), NoiseConfig(depolarizing_p=case))
     prefix = LayeredCircuit(2, c.layers[:1]).inverse()
-    undo = Layer(((0, 1),), (builtin_gate("CNOT"),)) if with_undo else None
-    rs = _dedicated_record_set(dev, 2, prefix, 300, np.random.default_rng(21), undo=undo)
+    rs = _dedicated_record_set(dev, 2, prefix, 300, np.random.default_rng(21))
     assert (_digest(rs), dev.ledger.layer_count) == DEDICATED_CASES[case]
 
 
-# (p, with undo) of DEDICATED_CASES -> digest of the (q, q + n) register windows
+# p of DEDICATED_CASES -> digest of the (q, q + n) register windows, from the
+# same records
 DEDICATED_ESTIMATES = {
-    (0.0, False): "ff4941d5f6d2ab4893fbf2577e09e5752db0dca76933347cd8aed75a30b8f088",
-    (0.0, True): "8009a2b3da4ee3561a9cdcb75a30b2f09cff37d0477c812aa0eacf217fc9e286",
-    # from the sparse-hit noise stream, as the record digests above
-    (0.002, False): "af7999cf0c504e188a9f46451f179e4542570d2e4e7c5db602f61c64f9ddba7b",
-    # from the sparse-hit noise stream
-    (0.002, True): "85d50cf6d0b408a438312e1809e89a2a12cfb8246d7427b184dd970cf9f86755",
+    0.0: "c2087b2a6c0abf62915fb01ba7d641f6e777f199b5b4cd71d51a9b24bee520cf",
+    0.002: "ba446b9fd5e9f55441f1940dd1624c03865ccf48daf2522f5518f71cb01f48e3",
 }
 
 
 @pytest.mark.parametrize("case", sorted(DEDICATED_ESTIMATES))
 def test_register_window_estimate_digest(case):
-    p, with_undo = case
     c = demo_circuit(2)
-    dev = Device(DeviceProfile(2, c.depth, Fraction(1), c), NoiseConfig(depolarizing_p=p))
+    dev = Device(DeviceProfile(2, c.depth, Fraction(1), c), NoiseConfig(depolarizing_p=case))
     prefix = LayeredCircuit(2, c.layers[:1]).inverse()
-    undo = Layer(((0, 1),), (builtin_gate("CNOT"),)) if with_undo else None
-    rs = _dedicated_record_set(dev, 2, prefix, 300, np.random.default_rng(21), undo=undo)
+    rs = _dedicated_record_set(dev, 2, prefix, 300, np.random.default_rng(21))
     estimates = [estimate_window(rs, (q, q + 2)) for q in range(2)]
     assert _estimate_digest(estimates) == DEDICATED_ESTIMATES[case]
 
@@ -203,15 +188,16 @@ def _data_file(name: str) -> str:
 
 # command -> {written file: sha256 of its bytes}. The hardware-d3 reports were
 # computed from the certified hardware mode, which decodes the nine dedicated
-# settings' pair windows with the strict decoder and runs no undo round, on
-# the sparse-hit noise stream; the reconstructed circuit predates that stream.
+# settings' pair windows with the strict decoder, with each layer's nine
+# settings run as one device call on the sparse-hit noise stream; the
+# reconstructed circuit predates that stream.
 CLI_CASES = {
     "hardware-d3": (
         ["reconstruct", "--circuit", _data_file("demo_d3.json"), "--noise-p", "0.002",
          "--shots", "2048", "--seed", "4"],
         {
-            "report.json": "57af1bc861082896a5bde32c82780534e5944f019975b4a50642c7e122716850",
-            "report.csv": "df8ad6d81ce246c5fe2ca14ca2c956ab84395bb0ba4a21d73c7111646ad4f94c",
+            "report.json": "4f81278dae58a668437eec5f3b0b8429f91a373d7ae0087c6be0eb6a7d7b1809",
+            "report.csv": "ab220c9c3fc148e13432bf6cbd4bc15eb8f7f8561a3539b540758a48a415b319",
             "reconstructed_circuit.json":
                 "0698597f8d3249507142e43ef8c3b0b5b96aac426b3b2867a89c192c013c4090",
         },

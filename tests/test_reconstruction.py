@@ -32,6 +32,7 @@ from qverify.errors import (
 from qverify.gates import Gate, GateSet, builtin_gate, standard_gate_set
 from qverify.reconstruction import (
     _decode_windows,
+    _dedicated_record_set,
     _match,
     exact_pseudo_joint,
     learn_multi,
@@ -124,6 +125,43 @@ class TestPseudoMeasurementEquivalence:
                     for k in set(free) | set(full)
                 )
                 assert tv < 1e-10
+
+
+# 0.001 critical values of chi-squared, by degrees of freedom 1..15
+CHI2_999 = (
+    10.8, 13.8, 16.3, 18.5, 20.5, 22.5, 24.3, 26.1, 27.9, 29.6, 31.3, 32.9, 34.5, 36.1, 37.7
+)
+
+
+class TestDedicatedRounds:
+    def test_rounds_follow_the_pseudo_joint(self):
+        """Each of hardware mode's nine rounds samples its exact (principal, ancilla) joint.
+
+        Only the records are read, never the order of the draws: each round
+        has ``shots`` shots, one principal axis and one ancilla axis on every
+        wire, and outcome frequencies that fit :func:`exact_pseudo_joint`.
+        """
+        c = demo_circuit(2)
+        n, k, shots = c.n, 2, 4000
+        prefix = LayeredCircuit(n, c.layers[: k - 1]).inverse()
+        u = compose_unitary(c, k) @ compose_unitary(prefix)
+        rs = _dedicated_record_set(device_for(c), k, prefix, shots, np.random.default_rng(71))
+        axis, bit = rs.digits >> 1, rs.digits & 1
+        assert (axis[:, :n] == axis[:, :1]).all()
+        assert (axis[:, n:] == axis[:, n : n + 1]).all()
+        for p_ax, a_ax in itertools.product(range(3), range(3)):
+            mine = (axis[:, 0] == p_ax) & (axis[:, n] == a_ax)
+            assert mine.sum() == shots
+            # cell: principal bits, then ancilla bits, qubit 0 most significant
+            observed = np.bincount(bit[mine] @ (1 << np.arange(2 * n - 1, -1, -1)), minlength=4**n)
+            expected = np.zeros(4**n)
+            joint = exact_pseudo_joint(u, PauliBasis("XYZ"[p_ax] * n), PauliBasis("XYZ"[a_ax] * n))
+            for (xp, xa), prob in joint.items():
+                expected[int("".join("1" if o == -1 else "0" for o in xp + xa), 2)] = shots * prob
+            live = expected > 1e-9
+            assert observed[~live].sum() == 0
+            chi2 = float(((observed[live] - expected[live]) ** 2 / expected[live]).sum())
+            assert chi2 < CHI2_999[live.sum() - 2], f"round {p_ax, a_ax}: chi2 {chi2:.1f}"
 
 
 class TestMatching:
