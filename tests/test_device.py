@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import tracemalloc
 from fractions import Fraction
@@ -439,6 +440,18 @@ class TestBlackBox:
         assert {"n", "d", "t", "ledger"} <= set(public)
         methods = {name for name in public if callable(getattr(dev, name))}
         assert methods == {"execute_settings", "ideal_choi_state"}
+
+    def test_execute_settings_takes_one_query(self):
+        """A call runs a prefix, then the hidden circuit up to k, then measures."""
+        dev, _ = demo_device(1)
+        params = list(inspect.signature(dev.execute_settings).parameters)
+        assert params == ["inverse_prefix", "k", "settings", "rng"]
+        undo = Layer(((0, 1),), (builtin_gate("CNOT"),))
+        blank = settings_table(np.zeros((1, 2), dtype=int), axis_codes("ZZ"), [1])
+        rng = np.random.default_rng(3)
+        with pytest.raises(TypeError):
+            dev.execute_settings(identity_circuit(2), 1, blank, rng, undo=undo)
+        assert dev.ledger.layer_count == 0
 
 
 class TestDeviceTime:

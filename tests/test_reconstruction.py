@@ -163,6 +163,30 @@ class TestDedicatedRounds:
             chi2 = float(((observed[live] - expected[live]) ** 2 / expected[live]).sum())
             assert chi2 < CHI2_999[live.sum() - 2], f"round {p_ax, a_ax}: chi2 {chi2:.1f}"
 
+    @pytest.mark.parametrize("p", [0.0, 0.1])
+    def test_rounds_run_as_one_ordered_call(self, p):
+        """The nine rounds are one device call whose rows follow the documented draw.
+
+        Rows run round by round in (principal axis, ancilla axis) order and
+        ascend in the ancilla bits inside a round; each round's ancilla bits
+        are its slice of one int8 ``(9, shots, n)`` draw.
+        """
+        c = demo_circuit(3)
+        n, k, shots = c.n, 3, 500
+        prefix = LayeredCircuit(n, c.layers[: k - 1]).inverse()
+        dev = device_for(c, NoiseConfig(depolarizing_p=p))
+        rs = _dedicated_record_set(dev, k, prefix, shots, np.random.default_rng(72))
+        assert dev.ledger.per_shot_layers == {prefix.depth + k: 9 * shots}
+        weights = 1 << np.arange(n - 1, -1, -1)
+        rounds = 3 * (rs.digits[:, 0] >> 1) + (rs.digits[:, n] >> 1)
+        present = (rs.digits[:, n:] & 1) @ weights
+        assert (np.diff(rounds) >= 0).all()
+        assert (np.diff(present)[np.diff(rounds) == 0] >= 0).all()
+        draw = np.random.default_rng(72).integers(0, 2, size=(9, shots, n), dtype=np.int8)
+        for r, bits in enumerate(draw):
+            observed = np.bincount(present[rounds == r], minlength=1 << n)
+            assert np.array_equal(observed, np.bincount(bits @ weights, minlength=1 << n))
+
 
 class TestMatching:
     def test_exact_cnot_choi_matches(self):
@@ -414,6 +438,32 @@ class TestLearnMulti:
         omitted = learn_multi(device_for(c), 5000, gs, rng=4, mode=mode)
         assert same_circuit(omitted.circuit, c)
         assert given.to_json() == omitted.to_json()
+
+    @pytest.mark.parametrize(
+        "mode, p, shots",
+        [
+            ("strict", 0.0, 20_000),
+            ("strict", 0.002, 20_000),
+            ("hardware", 0.0, 2048),
+            ("hardware", 0.002, 2048),
+            ("strict-exact", 0.0, 0),
+        ],
+    )
+    def test_one_device_call_per_layer(self, mode, p, shots, monkeypatch):
+        """Each layer is one execute_settings call at its own k; strict-exact makes none."""
+        calls = []
+        execute = Device.execute_settings
+
+        def counted_execute(self, inverse_prefix, k, settings, rng):
+            calls.append(k)
+            return execute(self, inverse_prefix, k, settings, rng)
+
+        monkeypatch.setattr(Device, "execute_settings", counted_execute)
+        c = demo_circuit(3)
+        report = learn_multi(device_for(c, NoiseConfig(depolarizing_p=p)), shots,
+                             standard_gate_set(), rng=4, mode=mode)
+        assert same_circuit(report.circuit, c)
+        assert calls == ([] if mode == "strict-exact" else list(range(1, c.depth + 1)))
 
     def test_default_rng_is_seed_zero(self):
         c, gs = demo_circuit(1), standard_gate_set()
