@@ -36,7 +36,7 @@ from itertools import product
 
 import numpy as np
 
-from .circuits import Layer, LayeredCircuit, choi_state, emit_circuit, layer_unitary
+from .circuits import Layer, LayeredCircuit, choi_state, emit_circuit
 from .core import (
     AXES,
     DensityMatrix,
@@ -317,6 +317,9 @@ def _shot_record_set(
     # deduplication runs on flat codes; a code identifies its row, so each
     # distinct row is decoded back from it
     code, counts = np.unique(_draw_setting_codes(rng, shots, n), return_counts=True)
+    # the smallest unsigned type, but at least 32 bits: shots added up over a
+    # run's calls as scalars of the field's own type must not wrap
+    counts = counts.astype(np.promote_types(np.min_scalar_type(shots), np.uint32))
     rows = np.zeros((len(code), 2 * n), dtype=np.int8)
     # the code's last digits are the principal axes, then the ancilla bits and
     # the ancilla axes, which both land on the ancilla digits
@@ -324,6 +327,7 @@ def _shot_record_set(
         for w in reversed(wires):
             code, digit = np.divmod(code, radix)
             rows[:, w] += scale * digit
+    del code, digit  # the per-setting decode arrays are not kept during the device call
     outcomes = _run_settings(device, k, prefix, rows, counts, rng)
     return RecordSet.from_settings(n, rows, counts, outcomes)
 
@@ -467,25 +471,19 @@ def _agree(a: tuple, b: tuple) -> bool:
 
 def _decode_windows(
     estimates: list[RdmEstimate], gs: GateSet, n: int, log_term: float
-) -> tuple[dict[tuple[int, ...], Gate], dict[str, float]]:
+) -> dict[tuple[int, ...], Gate]:
     """Certify each window, settle every qubit once, and return the gates by block.
 
     A window is certified when its box admits exactly one element of
     :func:`coefficient_table`. Its provenance settles both window qubits; a
     claim that contradicts another window's raises OverlappingAssignment, and
-    a qubit no certified window settles raises NoMatch. The distances are
-    each C2 window's, and each single qubit's from the register marginal of
-    the first window, in partner order, that settled it.
+    a qubit no certified window settles raises NoMatch.
     """
     table = coefficient_table(gs)
     admitted = _admitted(*_boxes(estimates, log_term), table)
     by_name = {g.name: g for g in gs.singles + gs.doubles}
-    choi = {g.name: m for gates, a in ((gs.singles, 1), (gs.doubles, 2))
-            for g, m in _candidates(tuple(gates), a)}
     claims: dict[int, list[tuple[tuple, tuple[int, int]]]] = {q: [] for q in range(n)}
     chosen: dict[tuple[int, ...], Gate] = {}
-    distances: dict[str, float] = {}
-    # windows run in (i, j) order, which visits each qubit's windows in partner order
     for est, row in zip(estimates, admitted):
         hits = np.flatnonzero(row)
         if len(hits) != 1:
@@ -499,17 +497,12 @@ def _decode_windows(
                     )
             claims[q].append((claim, (i, j)))
             block, name = claim
-            if block is None or block in chosen:
-                continue
-            chosen[block] = by_name[name]
-            rho = est.matrix.entries
-            if len(block) == 1:
-                rho = _register_marginal(rho, int(q == j))
-            distances[",".join(map(str, block))] = trace_distance_array(rho, choi[name])
+            if block is not None:
+                chosen[block] = by_name[name]
     for q in range(n):
         if all(block is None for (block, _), _ in claims[q]):
             raise _unsettled(q, estimates, admitted, table, gs)
-    return chosen, distances
+    return chosen
 
 
 def _unsettled(q: int, estimates, admitted, table: CoefficientTable, gs: GateSet) -> NoMatch:
@@ -557,44 +550,53 @@ def _learn_single_full(
     estimates = _window_estimates(device, k, prefix, shots, rng, mode)
     # delta split over the 255 non-identity strings of C(n, 2) windows and d layers
     log_term = math.log(2 * 255 * math.comb(n, 2) * device.d / delta)
-    chosen, distances = _decode_windows(estimates, gs, n, log_term)
+    chosen = _decode_windows(estimates, gs, n, log_term)
     blocks = sorted(chosen)
     layer = Layer(tuple(blocks), tuple(chosen[b] for b in blocks))
-    report = LayerReport(k, layer.blocks, tuple(g.name for g in layer.gates), distances)
+    report = LayerReport(k, layer.blocks, tuple(g.name for g in layer.gates))
     report.warnings = [
         f"window {est.subset}: {len(est.low_count_strings)} low-count strings"
         for est in estimates
         if est.low_count_strings
     ]
-    _fill_window_diagnostics(report, layer, n, {est.subset[:2]: est.matrix for est in estimates})
+    _fill_window_diagnostics(report, layer, {est.subset[:2]: est.matrix for est in estimates})
     if mode == "hardware":
         report.cnot_detected = min(report.purities.values()) < PURITY_THRESHOLD
     return layer, report
 
 
-def _fill_window_diagnostics(report: LayerReport, layer: Layer, n: int, by_pair: dict) -> None:
-    """Per-register purities and fidelities against the matched layer's ideal.
+def _fill_window_diagnostics(report: LayerReport, layer: Layer, by_pair: dict) -> None:
+    """Purities, fidelities and distances of every window and register.
 
-    Purity and relative fidelity come from the raw Hermitian estimates: the
-    clip-and-renormalize projection shrinks the dominant eigenvalue of
-    near-pure states and biases their purity low by more than the shot noise.
+    The learned layer's Choi state is a product over its blocks: a block
+    window's ideal is its gate's Choi state, any other window's the product of
+    its two register ideals. Block windows and registers get a distance; a
+    register's row comes from the first window holding it. Purity and relative
+    fidelity come from the raw Hermitian estimates: the clip-and-renormalize
+    projection shrinks the dominant eigenvalue of near-pure states and biases
+    their purity low by more than the shot noise.
     """
-    ideal = choi_state(layer_unitary(layer, n), n).amplitudes
+    blocks, registers = {}, {}
+    for block, gate in zip(layer.blocks, layer.gates):
+        ideal = blocks[block] = choi_state(gate.matrix, len(block)).density().entries
+        for pos, q in enumerate(block):
+            registers[q] = _register_marginal(ideal, pos) if len(block) == 2 else ideal
     for (i, j), rho in by_pair.items():
-        window_ideal = pure_marginal_array(ideal, sorted((i, j, i + n, j + n)), 2 * n)
-        report.fidelities[f"{i},{j}"] = relative_fidelity_array(rho.entries, window_ideal)
+        if (i, j) in blocks:
+            ideal = blocks[(i, j)]
+            report.distances[f"{i},{j}"] = trace_distance_array(rho.entries, ideal)
+        else:  # wires (i, i', j, j') of the product reordered to (i, j, i', j')
+            a, b = (registers[q].reshape(2, 2, 2, 2) for q in (i, j))
+            ideal = np.einsum("abcd,efgh->aebfcgdh", a, b).reshape(16, 16)
+        report.fidelities[f"{i},{j}"] = relative_fidelity_array(rho.entries, ideal)
         for q, pos in ((i, 0), (j, 1)):
-            if str(q) not in report.purities:
-                est_marg = _register_marginal(rho.entries, pos)
-                _register_row(report, str(q), est_marg, _register_marginal(window_ideal, pos))
-
-
-def _register_row(report: LayerReport, key: str, est: np.ndarray, ideal: np.ndarray) -> None:
-    """Purity, theory purity, relative fidelity and (unless a match set it) distance."""
-    report.purities[key] = float(np.einsum("ij,ji->", est, est).real)
-    report.purities_theory[key] = float(np.einsum("ij,ji->", ideal, ideal).real)
-    report.fidelities[key] = relative_fidelity_array(est, ideal)
-    report.distances.setdefault(key, trace_distance_array(est, ideal))
+            if str(q) in report.purities:
+                continue
+            est, ideal = _register_marginal(rho.entries, pos), registers[q]
+            report.purities[str(q)] = float(np.einsum("ij,ji->", est, est).real)
+            report.purities_theory[str(q)] = float(np.einsum("ij,ji->", ideal, ideal).real)
+            report.fidelities[str(q)] = relative_fidelity_array(est, ideal)
+            report.distances[str(q)] = trace_distance_array(est, ideal)
 
 
 # -- residual search -----------------------------------------------------------------

@@ -219,7 +219,7 @@ class TestChunking:
             (8, 1, 0.0, 20_000, 128 * 2**20),
             (3, 1, 0.0, 200_000, 12 * 200_000),
             (2, 1, 0.0, 160_000, 9 * 160_000),
-            (4, 1, 0.0, 200_000, 60 * 200_000),
+            (4, 1, 0.0, 200_000, 38 * 200_000),
             (3, 3, 0.05, 200_000, 32 * 200_000),
             (3, 3, 0.5, 200_000, 80 * 200_000),
         ):

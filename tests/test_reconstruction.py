@@ -29,7 +29,7 @@ from qverify.errors import (
     ReconstructionError,
     TieWarning,
 )
-from qverify.gates import Gate, GateSet, builtin_gate, standard_gate_set
+from qverify.gates import Gate, GateSet, builtin_gate, qft_gate_set, standard_gate_set
 from qverify.reconstruction import (
     _decode_windows,
     _dedicated_record_set,
@@ -465,10 +465,50 @@ class TestLearnMulti:
         assert same_circuit(report.circuit, c)
         assert calls == ([] if mode == "strict-exact" else list(range(1, c.depth + 1)))
 
+    def test_shot_counts_summed_over_layers_do_not_wrap(self, monkeypatch):
+        # a tracer of execute_settings adds each row's shots as a scalar of the
+        # field's own type; the layers' 40k shots together pass the 16-bit range
+        total = 0
+        execute = Device.execute_settings
+
+        def summed_execute(self, inverse_prefix, k, settings, rng):
+            nonlocal total
+            for row in settings:
+                total += row["shots"]
+            return execute(self, inverse_prefix, k, settings, rng)
+
+        monkeypatch.setattr(Device, "execute_settings", summed_execute)
+        c = demo_circuit(3)
+        learn_multi(device_for(c), 40_000, standard_gate_set(), rng=4)
+        assert total == 40_000 * c.depth
+
     def test_default_rng_is_seed_zero(self):
         c, gs = demo_circuit(1), standard_gate_set()
         default = learn_multi(device_for(c), 5000, gs)
         assert default.to_json() == learn_multi(device_for(c), 5000, gs, rng=0).to_json()
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("gate_set", [standard_gate_set, qft_gate_set])
+    def test_exact_diagnostics_match_the_learned_gates(self, n, gate_set):
+        # exact windows of a correctly learned layer equal their ideals
+        gs = gate_set()
+        for seed in range(4):
+            c = random_circuit(n, 3, gs, seed)
+            report = learn_multi(device_for(c), 0, gs, rng=seed, mode="strict-exact")
+            assert same_circuit(report.circuit, c), seed
+            for rep, layer in zip(report.per_layer, report.circuit.layers, strict=True):
+                registers = {str(q) for q in range(n)}
+                windows = {f"{i},{j}" for i, j in itertools.combinations(range(n), 2)}
+                pairs = {f"{b[0]},{b[1]}" for b in layer.blocks if len(b) == 2}
+                assert rep.fidelities.keys() == registers | windows
+                assert rep.distances.keys() == registers | pairs
+                assert rep.purities.keys() == rep.purities_theory.keys() == registers
+                for key, fidelity in rep.fidelities.items():
+                    assert fidelity == pytest.approx(1.0, abs=1e-12), (seed, key)
+                for key, distance in rep.distances.items():
+                    assert distance <= 1e-12, (seed, key)
+                for key, purity in rep.purities.items():
+                    assert purity == pytest.approx(rep.purities_theory[key], abs=1e-12)
 
 
 def _learn_random(n, shots, p, seed):
