@@ -250,7 +250,7 @@ class Device:
             b = max(a + 1, int(np.searchsorted(ends, lo + CHUNK_SHOTS, side="right")))
             b = min(b, a + CHUNK_SETTINGS)
             hi = int(ends[b - 1])
-            states = u @ _product_states(prep[a:b])
+            states = u @ product_states(prep[a:b])
             # np.repeat refuses uint64 counts, so the chunk's counts go to intp
             columns = np.repeat(np.arange(b - a), counts[a:b].astype(np.intp))
             chunk_axes = axes[a:b]
@@ -260,7 +260,7 @@ class Device:
                     states, columns, prep[a:b], hits[i:j] - lo * width, paulis[i:j], k, prefix_u
                 )
                 chunk_axes = chunk_axes[owners]
-            draws[lo:hi] = _sample(_rotate_to_z(states, chunk_axes), columns, rng.random(hi - lo))
+            draws[lo:hi] = _sample(rotate_to_z(states, chunk_axes), columns, rng.random(hi - lo))
             a, lo = b, hi
         self.ledger.add_shots(inverse_prefix.depth + k, len(draws))
         return draws
@@ -290,7 +290,7 @@ class Device:
         hit_shots, hit_column = np.unique(shot, return_inverse=True)
         owners = np.concatenate((np.arange(states.shape[1]), columns[hit_shots]))
         columns[hit_shots] = np.arange(states.shape[1], len(owners))
-        cols = prefix_u @ _product_states(prep[owners[states.shape[1] :]])
+        cols = prefix_u @ product_states(prep[owners[states.shape[1] :]])
         s = 0
         for block, gate in gates:
             cols = apply_unitary_array(cols, gate.matrix, block, self.n)
@@ -339,7 +339,7 @@ def _hit_sites(rng, grid: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     return sites, rng.integers(1, 4, size=len(sites), dtype=np.int8)
 
 
-def _product_states(prep: np.ndarray) -> np.ndarray:
+def product_states(prep: np.ndarray) -> np.ndarray:
     """One product-state column per row of prep codes, qubits in ``np.kron`` order."""
     settings, n = prep.shape
     vecs = PREP_VECTORS.T[:, prep.T]
@@ -361,7 +361,7 @@ def _apply_per_column(states: np.ndarray, mats: np.ndarray, q: int) -> np.ndarra
     return out.reshape(dim, m)
 
 
-def _rotate_to_z(states: np.ndarray, axes: np.ndarray) -> np.ndarray:
+def rotate_to_z(states: np.ndarray, axes: np.ndarray) -> np.ndarray:
     """Rotate column j of ``states`` so that qubit q's axis ``axes[j, q]`` becomes Z."""
     for q in range(axes.shape[1]):
         states = _apply_per_column(states, _READOUT[axes[:, q]], q)

@@ -47,7 +47,7 @@ from .core import (
     trace_distance_array,
 )
 from .device import PREP_SEQUENCES, PREP_VECTORS, Device, TimeLedger, settings_table
-from .device import _product_states, _rotate_to_z
+from .device import product_states, rotate_to_z
 from .errors import (
     AmbiguousMatch,
     EmptyGateSet,
@@ -124,8 +124,8 @@ def exact_pseudo_joint(
     bits = (np.array(outcomes) == -1).reshape(-1, n)
     anc_axes = np.array([AXES.index(a) for a in ancilla.axes])
     pri_axes = np.array([AXES.index(a) for a in principal.axes])
-    phi = u @ _product_states(_ANCILLA_PREP[2 * anc_axes + bits])
-    probs = np.abs(_rotate_to_z(phi, np.broadcast_to(pri_axes, bits.shape))) ** 2
+    phi = u @ product_states(_ANCILLA_PREP[2 * anc_axes + bits])
+    probs = np.abs(rotate_to_z(phi, np.broadcast_to(pri_axes, bits.shape))) ** 2
     p_xa = 2.0**-n
     return {
         (xp, xa): p_xa * float(p)
@@ -278,55 +278,32 @@ def _run_settings(device: Device, k: int, prefix: LayeredCircuit, rows, counts, 
     return device.execute_settings(prefix, k, settings, rng)
 
 
-# Shots whose setting digits are drawn at a time: the draw buffer stays at
-# 4n x _DRAW_ROWS bytes whatever the shot count.
-_DRAW_ROWS = 1 << 14
-
-
-def _draw_setting_codes(rng, shots: int, n: int) -> np.ndarray:
-    """One mixed-radix code per shot of a uniformly random setting.
-
-    Ancilla axes, ancilla outcome bits and principal axes are drawn in that
-    order, n columns each, and packed column by column, first column most
-    significant, into the smallest signed type that holds 18^n. Each block is
-    the stream of one (shots, n) draw, read :data:`_DRAW_ROWS` rows at a time
-    as int32: below 2^32 a value takes one 32-bit draw whatever its dtype.
-    """
-    code = np.zeros(shots, dtype=np.min_scalar_type(-(18**n)))
-    for radix in (3, 2, 3):
-        for lo in range(0, shots, _DRAW_ROWS):
-            rows = code[lo : lo + _DRAW_ROWS]
-            for column in rng.integers(0, radix, size=(len(rows), n), dtype=np.int32).T:
-                rows *= radix
-                rows += column
-    return code
-
-
 def _shot_record_set(
     device: Device, k: int, prefix: LayeredCircuit, shots: int, rng
 ) -> RecordSet:
     """Run ``shots`` pseudo-measurement shots with uniformly random settings.
 
-    Draw order (fixed for reproducibility): ancilla axes, ancilla outcomes,
-    principal axes, then the measurement randomness inside the device batch.
-    Shots sharing a configuration are executed together; record order groups
-    them, which no estimator depends on.
+    Draw order (fixed for reproducibility): one setting code per shot, as one
+    ``integers`` draw below 18^n, then the measurement randomness inside the
+    device batch. A code holds one base-18 digit per qubit, qubit 0 most
+    significant, and a qubit's digit is 6 * ancilla axis + 3 * ancilla bit +
+    principal axis. Shots sharing a setting are executed together; record
+    order groups them, which no estimator depends on.
     """
     n = device.n
     rng = np.random.default_rng(rng)
-    # deduplication runs on flat codes; a code identifies its row, so each
-    # distinct row is decoded back from it
-    code, counts = np.unique(_draw_setting_codes(rng, shots, n), return_counts=True)
+    # only the distinct codes and their counts outlive the draw
+    code, counts = np.unique(
+        rng.integers(0, 18**n, size=shots, dtype=np.min_scalar_type(18**n - 1)),
+        return_counts=True,
+    )
     # the smallest unsigned type, but at least 32 bits: shots added up over a
     # run's calls as scalars of the field's own type must not wrap
     counts = counts.astype(np.promote_types(np.min_scalar_type(shots), np.uint32))
-    rows = np.zeros((len(code), 2 * n), dtype=np.int8)
-    # the code's last digits are the principal axes, then the ancilla bits and
-    # the ancilla axes, which both land on the ancilla digits
-    for radix, scale, wires in ((3, 2, range(n)), (2, 1, range(n, 2 * n)), (3, 2, range(n, 2 * n))):
-        for w in reversed(wires):
-            code, digit = np.divmod(code, radix)
-            rows[:, w] += scale * digit
+    rows = np.empty((len(code), 2 * n), dtype=np.int8)
+    for w in reversed(range(n)):
+        code, digit = np.divmod(code, 18)
+        rows[:, w], rows[:, n + w] = 2 * (digit % 3), digit // 3
     del code, digit  # the per-setting decode arrays are not kept during the device call
     outcomes = _run_settings(device, k, prefix, rows, counts, rng)
     return RecordSet.from_settings(n, rows, counts, outcomes)
@@ -658,13 +635,16 @@ def learn_multi(
     ``cnot_detected``: a register purity below PURITY_THRESHOLD, a diagnostic
     that does not pick the layer. No mode reads
     ``eps``. Before the device runs, InvalidParameter refuses an unknown mode,
-    n < 2 qubits, ``shots < 1`` where shots are drawn and ``delta`` outside
-    (0, 1); a degenerate gate set raises DegenerateGateSet.
+    n < 2 qubits, n > 15 in strict mode (a setting code is below 18^n),
+    ``shots < 1`` where shots are drawn and ``delta`` outside (0, 1); a
+    degenerate gate set raises DegenerateGateSet.
     """
     if mode not in MODES:
         raise InvalidParameter(f"unknown mode {mode!r}: use strict, strict-exact or hardware")
     if device.n < 2:  # learning reads pair windows
         raise InvalidParameter(f"{mode} mode needs at least 2 qubits, got n={device.n}")
+    if mode == "strict" and device.n > 15:  # a shot's setting code must fit in uint64
+        raise InvalidParameter(f"strict mode needs at most 15 qubits, got n={device.n}")
     if mode != "strict-exact" and shots < 1:
         raise InvalidParameter(f"shots={shots} must be at least 1 in {mode} mode")
     if not 0 < delta < 1:

@@ -18,7 +18,7 @@ from .core import (
     relative_fidelity_array,
     trace_distance_array,
 )
-from .device import _rotate_to_z
+from .device import rotate_to_z
 from .errors import InvalidParameter
 from .gates import builtin_gate
 from .reconstruction import PURITY_THRESHOLD, format_float
@@ -62,7 +62,7 @@ def _state_probs_by_setting(state: np.ndarray, n: int) -> np.ndarray:
     """
     axes = np.array(list(product(range(3), repeat=n)), dtype=np.int8)
     columns = np.repeat(state[:, None], len(axes), axis=1)
-    out = np.abs(_rotate_to_z(columns, axes).T) ** 2
+    out = np.abs(rotate_to_z(columns, axes).T) ** 2
     return out / out.sum(axis=1, keepdims=True)
 
 

@@ -113,8 +113,9 @@ class TestReconstructCommand:
 
     @pytest.mark.parametrize(
         "n, flags",
-        [(1, ["--mode", "hardware"]), (1, ["--mode", "strict"]), (1, ["--mode", "strict-exact"])],
-        ids=["n1-hardware", "n1-strict", "n1-exact"],
+        [(1, ["--mode", "hardware"]), (1, ["--mode", "strict"]), (1, ["--mode", "strict-exact"]),
+         (16, ["--mode", "strict"])],
+        ids=["n1-hardware", "n1-strict", "n1-exact", "n16-strict"],
     )
     def test_hardware_mode_off_two_qubits_is_config_error(self, tmp_path, capsys, n, flags):
         path = tmp_path / "c.json"

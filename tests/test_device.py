@@ -31,9 +31,9 @@ from qverify.device import (
     DeviceProfile,
     NoiseConfig,
     TimeLedger,
-    _rotate_to_z,
     _sample,
     device_time_for_learning,
+    rotate_to_z,
     settings_table,
 )
 from qverify.errors import InvalidRequest
@@ -286,7 +286,7 @@ def per_shot_trajectories(hidden, p, prefix, k, settings, rng, ledger):
                 site += 1
         columns.append(psi)
     states = np.stack(columns, axis=1) if columns else np.zeros((1 << n, 0), complex)
-    rotated = _rotate_to_z(states, np.repeat(axes, counts, axis=0))
+    rotated = rotate_to_z(states, np.repeat(axes, counts, axis=0))
     ledger.add_shots(prefix.depth + k, len(u01))
     return _sample(rotated, np.arange(len(u01)), u01)
 
@@ -326,13 +326,13 @@ class TestBatchedTrajectories:
             settings["shots"][[0, 1, 7, 8, 9, 39]] = 0
         else:
             k = 0
-        widths, rotate = [], qverify.device._rotate_to_z
+        widths, rotate = [], qverify.device.rotate_to_z
 
         def counted_rotate(states, axes):
             widths.append(states.shape[1])
             return rotate(states, axes)
 
-        monkeypatch.setattr(qverify.device, "_rotate_to_z", counted_rotate)
+        monkeypatch.setattr(qverify.device, "rotate_to_z", counted_rotate)
         dev = Device(DeviceProfile(3, 3, Fraction(1), c), NoiseConfig(depolarizing_p=p))
         ref_ledger = TimeLedger(Fraction(1))
         for seed in (31, 32):

@@ -2,19 +2,22 @@
 
 The record digests pin the exact records, outcomes and device time that a
 seed produces, so any change to the shot path that alters the order of random
-draws, the sampling rule or the setting order shows up here. They were
-computed from the per-setting device loop that the batched path replaced; the
-cases of 20k shots and more were computed from the code that drew every
-setting code and every uniform of a layer in one array, before draws and
-device chunks were bounded by shots, and cross both bounds.
+draws, the sampling rule or the setting order shows up here. The dedicated
+(hardware) digests were computed from the per-setting device loop that the
+batched path replaced. The strict digests were computed from the one-integer
+setting draw, which draws each shot's setting as one integer below 18^n (one
+``integers`` call per layer) instead of 3n digits; the cases of 20k shots and
+more cross a device chunk, and their ledgers did not move.
 The estimate digests pin every window matrix, compatible-shot count and
 low-count list estimated from those records; they were computed from the
-per-string coefficient loop that the single contraction replaced. The CLI
+per-string coefficient loop that the single contraction replaced, and the
+strict ones from the one-integer setting draw. The CLI
 digests pin the files that ``qverify reconstruct`` and the two sweeps write;
 they were computed before the sweeps and report formats left ``cli.py``. The
-report digests pin ``report.json`` and ``report.csv`` of strict reconstructions
-at n >= 3, where the gate decoder and the per-window diagnostics run on more
-than one window. The digests of noisy runs were computed from the sparse-hit
+report digests pin ``report.json`` and ``report.csv`` of reconstructions at
+n >= 3, where the gate decoder and the per-window diagnostics run on more
+than one window; the strict ones were computed from the one-integer setting
+draw. The digests of noisy runs were computed from the sparse-hit
 noise stream, which draws each call's hit sites once, from geometric gaps,
 instead of two draws per (setting, gate, qubit); noiseless runs draw no noise
 and kept their digests. No digest may be regenerated to make a change pass.
@@ -56,30 +59,31 @@ def _strict_device(n: int, circuit_seed: int) -> tuple[Device, LayeredCircuit]:
     return Device(DeviceProfile(n, 3, Fraction(1), c)), c
 
 
-# (n, k, shots, seed) -> (digest, ledger layer_count)
+# (n, k, shots, seed) -> (digest, ledger layer_count), from the one-integer
+# setting draw; every ledger stayed the same
 STRICT_CASES = {
     (2, 1, 3000, 11): (
-        "bf88261de6ae5f41c3579df743dddbfb3ba52c2ae8242768790a72b140e83e34",
+        "920f9aa77508e788bcfff5b471a34b84719b2383ef0bf480ca94e1532e3241ce",
         3000,
     ),
     (3, 2, 4000, 12): (
-        "9d6cd06dc5aa62a8cafed2b161574d0c4e1026349cd5f1c64bbd1ec7a18dacea",
+        "66a1e3e6165f61b2349709c55c4ee092c4ac184b3ef819e7d5ba05a78cd8a04f",
         12000,
     ),
     (4, 3, 2500, 13): (
-        "44b09aa1c5e8320da91800925afe4547eef8692bc9aca7ef93c9909761e4abae",
+        "1a8afb4c91da7371494f94b1a7fefe33cde33ead79d681a4fbeac2d4d63c5aa5",
         12500,
     ),
     (6, 2, 1500, 14): (
-        "8476efa37db75a9ac8c535e11068ccf5160e3c177268ae8e403d9d1b14a396ac",
+        "c0c24fe2272cb72d738105942e92ac853dad3476f91fd2cb329fff1e717fd3e1",
         4500,
     ),
     (2, 1, 40000, 15): (
-        "ee9b2c2be63c0b470124d2cadd141f94f9589560d6b554b8c6fc9ef942d0d958",
+        "05e752acd7c0ce5e862a5aa7088baa212038524cc550bde89505001ba62f2052",
         40000,
     ),
     (3, 2, 20000, 16): (
-        "ebb4829a64e7ce67aaec5bd783a18652b7012dfc190c00bc76f19ad6959a51c4",
+        "f9d3cb8eb491b953579faeec13818a8c72df0741826468f77d0087d58e90e917",
         60000,
     ),
 }
@@ -98,14 +102,15 @@ def test_shot_record_set_digest(case):
 
 # (n, k, shots, seed, depolarizing p) -> (digest, ledger layer_count)
 NOISY_STRICT_CASES = {
-    # from the sparse-hit noise stream, which draws a call's hit sites once
+    # from the one-integer setting draw on the sparse-hit noise stream, which
+    # draws a call's hit sites once; the ledger stayed the same
     (2, 2, 40000, 17, 0.01): (
-        "d6721ec5ce93b1d1757d2b1a941ed56e2501a273ddd68526e29cf510d18fc21a",
+        "e00f25d865969a91860ff6ac4c56332a09409cc1b4ee5299c9d2312a47f568c0",
         120000,
     ),
-    # from the sparse-hit noise stream
+    # from the one-integer setting draw on the sparse-hit noise stream
     (3, 3, 20000, 18, 0.01): (
-        "b4758efb3c57997ed40c761feb2df8a5ccc9833e0f5cf7cdb0f0d607d4eba279",
+        "1a6c1893386dba6a9c8c785f42c5be08bd99a6a3fcb89d16b7d43c8134e7833e",
         100000,
     ),
 }
@@ -121,12 +126,13 @@ def test_noisy_shot_record_set_digest(case):
     assert (_digest(rs), dev.ledger.layer_count) == NOISY_STRICT_CASES[case]
 
 
-# (n, k, shots, seed) of STRICT_CASES -> digest of every pair window's estimate
+# (n, k, shots, seed) of STRICT_CASES -> digest of every pair window's estimate,
+# from the one-integer setting draw's records
 STRICT_ESTIMATES = {
-    (2, 1, 3000, 11): "c57dc84eb84c75872085c34b5dff0083b9f80e9a3e9d7b87dd5efd05692877b1",
-    (3, 2, 4000, 12): "6219041544ee9d0427f57ea33b7121eb7d4037e0988c768654c2f115a1035cc4",
-    (4, 3, 2500, 13): "3b7466e93ad89e597dde9ec281bac04df25e7216d0ecc949f4dc544dfd1ba617",
-    (6, 2, 1500, 14): "86285f2daeacff1a48741330257fc24d33e149bf205001d0077722e62c81eff9",
+    (2, 1, 3000, 11): "7a2035549290b55fd4ebc1b362e858d04ecb6e2b07d0de0a114d44bb7e993354",
+    (3, 2, 4000, 12): "dfd2850bbba8c57be4e3515ebc8bcf704bf58fce6acd7b7948332cecabfa80d0",
+    (4, 3, 2500, 13): "a028a2d6efed8239c555bcde0e3abc383941b1a1e9639bafa76daa359795ef4d",
+    (6, 2, 1500, 14): "bd6e4e1c8a35b84010cda2a338f9f0a68e75f6364509b4bc4aa7e96950d2c8fa",
 }
 
 
@@ -248,11 +254,12 @@ def _learn_random(n: int, mode: str, shots: int, p: float, seed: int):
 # Seed 34 was one of the few n=3 circuits that reconstructed at 20k shots
 # under the earlier trace-distance rule, with and without noise. The n=2 case
 # at 2500 shots reconstructs with low-count strings, so it pins those warnings.
-# The report.json digests, and the report.csv digests of the strict-exact
-# cases, were computed from diagnostics whose window and register ideals are
-# built from the learned gates' own Choi states (at most 16 x 16) instead of
-# marginals of the layer's 2n-qubit Choi state: every reported float moved by
-# at most 9e-16, and keys, gates, warnings and circuits stayed the same.
+# The strict-exact digests were computed from diagnostics whose window and
+# register ideals are built from the learned gates' own Choi states (at most
+# 16 x 16) instead of marginals of the layer's 2n-qubit Choi state: every
+# reported float moved by at most 9e-16, and keys, gates, warnings and
+# circuits stayed the same. The strict digests were computed from the same
+# diagnostics on the one-integer setting draw.
 REPORT_CASES = {
     (4, "strict-exact", 0, 0.0, 0): (
         "2f3bd29fcd2d555dfbee568d4004e836e7b548e63d26eed272cd8e3a8ae82711",
@@ -270,18 +277,22 @@ REPORT_CASES = {
         "e2d754ada3754528df13ee71a5653829cc930e332dfc864e97241cd419902026",
         "e24d12afa6c551d59374174e66eecaa3de1f0eeb640dea1ab2101c44e30ba9ef",
     ),
+    # from the one-integer setting draw; the circuit and ledger stayed the same
     (3, "strict", 20000, 0.0, 34): (
-        "e9f4ac5495caf5db5703470bae5546361dd38d73c2b2310d6625bb81e2e35ed6",
-        "0b756f8fc83438c23e4ebb71f1e816d0f7763de39d2bcce71aa7e25567edf3eb",
+        "829287765431d712ba5691c8d58d23815ea80c78418cf61ef09cb0375b3bc0c5",
+        "092fe1dafb047b563d0e48a10bc865b7336906ba505cf053c5fd6efc510d2b57",
     ),
-    # from the sparse-hit noise stream, which draws a call's hit sites once
+    # from the one-integer setting draw on the sparse-hit noise stream, which
+    # draws a call's hit sites once; the circuit and ledger stayed the same
     (3, "strict", 20000, 0.01, 34): (
-        "5a4989fed6e607406beec0f0a6c0f228aadded162ea34e39fbcb4a54244b3c8a",
-        "93a6b80247902880593fa9e8b18f52d9cf5c0f5d0a4bddaee186ffb4509f2eb5",
+        "20d9134ef9ac97ecf19a7cf87e16ff0000e4baf9cc84feaa6972bfda99b44826",
+        "184e34c28752ea719e3ebdde13603acf635f411c3165241c44cdc0ea142d4c3c",
     ),
+    # from the one-integer setting draw: the circuit and ledger stayed the same,
+    # and the layers' low-count strings went from 36, 32, 32 to 33, 34, 37
     (2, "strict", 2500, 0.0, 1): (
-        "632560d0e2783e59d6d5ed915c61861561b2f9032c3e0d12942439f91b64d6e2",
-        "1cac3640b56eb262fa148ba353234eac3cef0184dd41fa15edef81ebfc6da7d7",
+        "f0d8ff67bb4d16f702f39833c1511fed2997287af996e0abda9dfbefea1b6a2f",
+        "f486c7feaa4a51f116d5a1eef9578999e04783f4d084d6a5359d170c20e077c2",
     ),
 }
 
@@ -295,7 +306,9 @@ def test_report_digest(case):
 
 def test_no_match_message_at_n3():
     # the certified decoder reconstructs this 20k-shot job, which the earlier
-    # trace-distance rule declined; at 300 shots the boxes still decline it
+    # trace-distance rule declined; at 300 shots the boxes still decline it.
+    # The nearest candidates, ordered by distance, are from the one-integer
+    # setting draw; the layer, qubit and admission counts stayed the same.
     report, c = _learn_random(3, "strict", 20000, 0.0, 0)
     assert same_circuit(report.circuit, c)
     with pytest.raises(NoMatch) as err:
@@ -303,6 +316,6 @@ def test_no_match_message_at_n3():
     assert (err.value.layer, err.value.qubits) == (1, (0,))
     assert str(err.value) == (
         "layer 1: no certified window settles qubit 0: window 0,1 admitted 10 elements, "
-        "window 0,2 admitted 3 elements; nearest candidates: I: 0.5845, Z: 0.6963, "
-        "H: 1.0154, CNOT on window 0,1: 2.6539, CNOT_rev on window 0,2: 3.2367"
+        "window 0,2 admitted 3 elements; nearest candidates: Z: 0.5807, I: 0.7068, "
+        "H: 0.8584, CNOT on window 0,1: 2.7415, CNOT on window 0,2: 2.9855"
     )

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -53,6 +54,30 @@ def test_cli_only_parses_arguments():
                 private += [alias.name for alias in node.names if alias.name.startswith("_")]
     numpy = [m for m in modules if m.split(".")[0] == "numpy"]
     assert (numpy, private) == ([], [])
+
+
+def test_import_loads_only_the_library_core():
+    """A fresh ``import qverify`` loads ten package modules and, past the stdlib, only numpy.
+
+    The sweeps, the CLI and the benchmark circuits load when first imported,
+    so the package's own import does no work that only they need.
+    """
+    probe = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(Path(qverify.__file__).parents[1])!r})\n"
+        "before = set(sys.modules)\n"
+        "import qverify\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=120)
+    loaded = json.loads(run.stdout)
+    package = [m for m in loaded if m.split(".")[0] == "qverify"]
+    assert package == ["qverify"] + [f"qverify.{name}" for name in (
+        "circuits", "core", "device", "errors", "gates", "reconstruction", "resolution", "rng",
+        "tomography")]
+    outside = {m.split(".")[0] for m in loaded} - set(sys.stdlib_module_names)
+    assert outside == {"numpy", "qverify"}
 
 
 def test_failing_property_test_prints_its_example(tmp_path):

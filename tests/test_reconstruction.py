@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,13 @@ from qverify.circuits import (
     same_circuit,
 )
 from qverify.core import DensityMatrix, PauliBasis, exact_pauli_distribution
-from qverify.device import Device, DeviceProfile, NoiseConfig, device_time_for_learning
+from qverify.device import (
+    PREP_SEQUENCES,
+    Device,
+    DeviceProfile,
+    NoiseConfig,
+    device_time_for_learning,
+)
 from qverify.errors import (
     AmbiguousMatch,
     DegenerateGateSet,
@@ -34,6 +41,7 @@ from qverify.reconstruction import (
     _decode_windows,
     _dedicated_record_set,
     _match,
+    _shot_record_set,
     exact_pseudo_joint,
     learn_multi,
     match_two_qubit,
@@ -186,6 +194,61 @@ class TestDedicatedRounds:
         for r, bits in enumerate(draw):
             observed = np.bincount(present[rounds == r], minlength=1 << n)
             assert np.array_equal(observed, np.bincount(bits @ weights, minlength=1 << n))
+
+
+class TestStrictDraw:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_records_follow_one_integer_draw(self, n, monkeypatch):
+        """Each shot's setting is its slice of one draw of integers below 18^n.
+
+        The reference decodes every shot on its own: qubit 0's base-18 digit
+        is the most significant, and a digit is 6 * ancilla axis + 3 * ancilla
+        bit + principal axis. Settings run in ascending code order with one
+        row per distinct code, and the device's measurement draws start where
+        the setting draw leaves the generator.
+        """
+        c = random_circuit(n, 3, standard_gate_set(), 75 + n)
+        k, shots, seed = 2, 3000, 77
+        prefix = LayeredCircuit(n, c.layers[: k - 1]).inverse()
+        calls = []
+        execute = Device.execute_settings
+
+        def recorded_execute(self, inverse_prefix, k, settings, rng):
+            state = rng.bit_generator.state
+            outcomes = execute(self, inverse_prefix, k, settings, rng)
+            calls.append((settings.copy(), state, outcomes))
+            return outcomes
+
+        monkeypatch.setattr(Device, "execute_settings", recorded_execute)
+        rs = _shot_record_set(device_for(c), k, prefix, shots, np.random.default_rng(seed))
+
+        ref = np.random.default_rng(seed)
+        codes = ref.integers(0, 18**n, size=shots, dtype=np.min_scalar_type(18**n - 1)).tolist()
+        shot_rows, prep = {}, {}
+        for code in codes:
+            row, names = [], []
+            for q in range(n):
+                a_axis, rest = divmod(code // 18 ** (n - 1 - q) % 18, 6)
+                a_bit, p_axis = divmod(rest, 3)
+                row.append((2 * p_axis, 2 * a_axis + a_bit))
+                names.append(prep_gate_names("XYZ"[a_axis], 1 - 2 * a_bit))
+            shot_rows[code] = [d for d, _ in row] + [d for _, d in row]
+            prep[code] = names
+        ((settings, state, outcomes),) = calls
+        assert state == ref.bit_generator.state
+        distinct = sorted(set(codes))
+        tally = Counter(codes)
+        assert settings["shots"].tolist() == [tally[code] for code in distinct]
+        assert [[PREP_SEQUENCES[i] for i in row] for row in settings["prep"]] == [
+            prep[code] for code in distinct
+        ]
+        assert (2 * settings["axes"]).tolist() == [shot_rows[code][:n] for code in distinct]
+        expected = np.array([shot_rows[code] for code in sorted(codes)])
+        principal, ancilla = rs.digits[:, :n], rs.digits[:, n:]
+        assert np.array_equal(ancilla, expected[:, n:])
+        assert np.array_equal(principal >> 1 << 1, expected[:, :n])
+        bits = (outcomes[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        assert np.array_equal(principal & 1, bits)
 
 
 class TestMatching:
@@ -378,7 +441,8 @@ class TestLearnMulti:
 
     @pytest.mark.parametrize(
         "n, mode",
-        [(1, "strict"), (1, "strict-exact"), (1, "hardware")],
+        # above n=15 a strict setting code, below 18^n, no longer fits in uint64
+        [(1, "strict"), (1, "strict-exact"), (1, "hardware"), (16, "strict")],
     )
     def test_qubit_count_rejected_before_device_work(self, n, mode):
         dev = device_for(random_circuit(n, 2, standard_gate_set(), 5))
